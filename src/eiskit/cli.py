@@ -35,8 +35,10 @@ from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient,
                           fw_formula)
+from .specfun import PoleError
 from .uniqueness import (BlockStructure, affine_map_from_json,
                          decide_affine_symmetry, random_falsification)
+from .whittaker import QuadratureError
 
 __all__ = ["main", "dispatch"]
 
@@ -160,13 +162,6 @@ def _parse_group_element(args, n: int) -> GroupElement:
     return GroupElement.identity(n)
 
 
-def _default_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("EISKIT_THREADS")
-    return int(env) if env else None
-
-
 # ------------------------------ subcommands ----------------------------------
 
 
@@ -245,7 +240,7 @@ def _cmd_extract(args) -> int:
     nodes = args.nodes if args.nodes else (64 if n == 2 else 24)
     value = extract_fourier_coefficient(
         n, request, height=args.height, quad_nodes=nodes,
-        threads=_default_threads(args))
+        threads=args.threads)
     report = {"command": "extract", "m": list(m), "height": args.height,
               "nodes": nodes, "value": value}
     rows = [{"m": ",".join(str(v) for v in m), "height": args.height,
@@ -260,7 +255,7 @@ def _cmd_eval(args) -> int:
     s = _parse_spectral(args.s, partition)
     g = _parse_group_element(args, n)
     value, tail = eval_eisenstein(n, g, s, args.height,
-                                  threads=_default_threads(args))
+                                  threads=args.threads)
     report = {"command": "eval", "height": args.height,
               "value": value, "tail_bound": tail}
     rows = [{"height": args.height, "re": value.real, "im": value.imag,
@@ -447,7 +442,7 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, QuadratureError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,10 +44,13 @@ class ConvergenceError(ValueError):
 
 
 def _default_threads() -> int:
+    """Worker-thread count from EISKIT_THREADS (default 1)."""
+    text = os.environ.get("EISKIT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("EISKIT_THREADS", "1")))
+        return max(1, int(text))
     except ValueError:
-        return 1
+        raise ValueError(
+            f"EISKIT_THREADS must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -174,67 +177,6 @@ def canonical_coset_form(matrix: np.ndarray) -> tuple:
     return (v, a)
 
 
-def _gauss_reduce_2d(b1: np.ndarray, b2: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    b1, b2 = b1.astype(np.int64), b2.astype(np.int64)
-    while True:
-        if b1 @ b1 > b2 @ b2:
-            b1, b2 = b2, b1
-        denom = int(b1 @ b1)
-        t = round(int(b1 @ b2) / denom)
-        if t == 0:
-            return b1, b2
-        b2 = b2 - t * b1
-
-
-def _perp_basis(v: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced basis of the rank-2 integer lattice orthogonal to primitive v."""
-    # row-reduce v to (1, 0, 0) by unimodular operations; the same operations
-    # applied to the identity give U with U v = e1, so rows 2-3 of U span
-    # exactly the integer kernel of x -> x . v
-    vec = [int(c) for c in v]
-    u = np.eye(3, dtype=np.int64)
-    for i in (1, 2):
-        if vec[i] == 0:
-            continue
-        g, x, y = _ext_gcd(vec[0], vec[i])
-        r0 = x * u[0] + y * u[i]
-        ri = (-vec[i] // g) * u[0] + (vec[0] // g) * u[i]
-        u[0], u[i] = r0, ri
-        vec[0], vec[i] = g, 0
-    if vec[0] == -1:
-        u[0], vec[0] = -u[0], 1
-    if vec[0] != 1:
-        raise ValueError("vector is not primitive")
-    return _gauss_reduce_2d(u[1], u[2])
-
-
-def _primitive_vectors_2d(b1: np.ndarray, b2: np.ndarray,
-                          height: int) -> np.ndarray:
-    """Sign-canonical primitive lattice vectors p*b1 + q*b2 within the box.
-
-    The kernel lattice of x -> x . v is saturated in Z^3, so gcd(p, q) = 1
-    is equivalent to primitivity of the vector itself.
-    """
-    n1 = math.sqrt(float(b1 @ b1))
-    n2 = math.sqrt(float(b2 @ b2))
-    lim = 2.0 * math.sqrt(3.0) * height
-    pmax = int(lim / n1) + 2
-    qmax = int(lim / n2) + 2
-    p, q = np.meshgrid(np.arange(-pmax, pmax + 1, dtype=np.int64),
-                       np.arange(-qmax, qmax + 1, dtype=np.int64),
-                       indexing="ij")
-    p, q = p.ravel(), q.ravel()
-    keep = np.gcd(np.abs(p), np.abs(q)) == 1
-    p, q = p[keep], q[keep]
-    vecs = p[:, None] * b1[None, :] + q[:, None] * b2[None, :]
-    keep = np.abs(vecs).max(axis=1) <= height
-    vecs = vecs[keep]
-    lead = np.where(vecs[:, 0] != 0, vecs[:, 0],
-                    np.where(vecs[:, 1] != 0, vecs[:, 1], vecs[:, 2]))
-    return vecs[lead > 0]
-
-
 def enumerate_cosets(n: int, height: int):
     """Coset representatives for the Borel Eisenstein sum, up to `height`.
 
@@ -262,25 +204,10 @@ def enumerate_cosets(n: int, height: int):
         return
     if n != 3:
         raise ValueError("only n = 2 and n = 3 are supported")
-    for v in _primitive_triples(height):
-        b1, b2 = _perp_basis(v)
-        for a in _primitive_vectors_2d(b1, b2, height):
-            a = tuple(int(x) for x in a)
-            yield CosetRep(_lift_pluecker(v, a),
-                           max(max(abs(x) for x in v),
-                               max(abs(x) for x in a)))
-
-
-def _primitive_triples(height: int):
-    for c1 in range(0, height + 1):
-        for c2 in range(-height if c1 > 0 else 0, height + 1):
-            start = -height if (c1, c2) != (0, 0) else 1
-            for c3 in range(start, height + 1):
-                if (c1, c2, c3) == (0, 0, 0):
-                    continue
-                if gcd(gcd(c1, abs(c2)), abs(c3)) != 1:
-                    continue
-                yield (c1, c2, c3)
+    vs, avs = _coset_rows_gl3(height)
+    for v, a in zip(vs.tolist(), avs.tolist()):
+        yield CosetRep(_lift_pluecker(tuple(v), tuple(a)),
+                       max(abs(x) for x in v + a))
 
 
 def _coprime_pairs(height: int, chunk: int = 200):
@@ -322,24 +249,51 @@ def _borel_exponents(n: int, s: SpectralPoint) -> tuple[complex, ...]:
     return (a[0] + a[1], a[0])
 
 
+def _canonical_primitive(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `x` that are primitive with a positive lead entry."""
+    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
+    return (np.gcd.reduce(x, axis=1) == 1) & (lead > 0)
+
+
+# (v, grid point) pairs per block: bounds the enumerator's temporaries
+_COSET_BLOCK = 1 << 16
+
+
 def _coset_rows_gl3(height: int, height_a: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked Plucker rows (v, a) of enumerate_cosets(3, height).
 
-    Bypasses the unimodular lift: the lattice sum only needs the bottom row v
-    and the minor vector a of each representative.  `height_a` widens the
-    bound on the minor vectors independently of the bottom-row bound.
+    Every sign-canonical primitive v with |v| <= `height` (sup-norm), paired
+    with every sign-canonical primitive a with a . v = 0 and |a| <= `height_a`
+    (default `height`).  The lattice sum only needs these two rows of each
+    representative, not its unimodular lift.  For a block of v sharing the
+    coordinate k where |v| is largest, a . v = 0 is solved for a_k over the
+    (2 height_a + 1)^2 grid of the other two coordinates of a.
     """
     if height_a is None:
         height_a = height
-    vs, avs = [], []
-    for v in _primitive_triples(height):
-        b1, b2 = _perp_basis(v)
-        a = _primitive_vectors_2d(b1, b2, height_a)
-        if len(a):
-            vs.append(np.broadcast_to(np.array(v, np.int64),
-                                      (len(a), 3)).copy())
-            avs.append(a)
+    span = np.arange(-height, height + 1, dtype=np.int64)
+    v_all = np.stack(np.meshgrid(span, span, span, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    v_all = v_all[_canonical_primitive(v_all)]
+    pivot = np.abs(v_all).argmax(axis=1)
+    span = np.arange(-height_a, height_a + 1, dtype=np.int64)
+    p, q = (x.ravel() for x in np.meshgrid(span, span, indexing="ij"))
+    block = max(1, _COSET_BLOCK // p.size)
+    vs, avs = [np.empty((0, 3), np.int64)], [np.empty((0, 3), np.int64)]
+    for k in range(3):
+        i, j = (c for c in range(3) if c != k)
+        v_k = v_all[pivot == k]
+        for lo in range(0, len(v_k), block):
+            v = v_k[lo:lo + block]
+            a_k, rem = np.divmod(-(v[:, i, None] * p + v[:, j, None] * q),
+                                 v[:, k, None])
+            rows, cols = np.nonzero((rem == 0) & (np.abs(a_k) <= height_a))
+            a = np.empty((rows.size, 3), np.int64)
+            a[:, i], a[:, j], a[:, k] = p[cols], q[cols], a_k[rows, cols]
+            keep = _canonical_primitive(a)
+            vs.append(v[rows[keep]])
+            avs.append(a[keep])
     return np.concatenate(vs), np.concatenate(avs)
 
 
@@ -459,6 +413,10 @@ def _gl3_power_sum(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
     else:
         c2r = c2
 
+    if cuts is not None:
+        top = cuts.max()
+        table = _combined_weight_table(top, cuts, cut_weights)
+
     def chunk_sum(lo: int, hi: int) -> np.ndarray:
         r3 = (vs[lo:hi].astype(float) @ w_flat).reshape(hi - lo, grid, 3)
         cr = (avs[lo:hi].astype(float) @ cof_flat).reshape(hi - lo, grid, 3)
@@ -469,12 +427,10 @@ def _gl3_power_sum(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
             return np.exp(logp).sum(axis=0)
         rad_v = np.sqrt(r3sq)
         rad_a = np.sqrt(crsq)
-        top = cuts.max()
         mask = (rad_v < top) & (rad_a < top)
         logp = (e_cr * np.log(crsq[mask]) + e_r3 * np.log(r3sq[mask])
                 + c2r * np.broadcast_to(log_det, mask.shape)[mask])
         powers = np.exp(logp)
-        table = _combined_weight_table(top, cuts, cut_weights)
         weight = _bilinear(table, top, rad_v[mask], rad_a[mask])
         out = np.zeros((hi - lo, grid),
                        dtype=float if real_exp else complex)
@@ -500,9 +456,12 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int,
     """Truncated lattice sum of the Borel series, with a heuristic tail bound.
 
     Returns (partial sum over cosets of height <= `height`, tail estimate).
-    The tail estimate extrapolates the decay of the outer height shells by a
-    power law; it is a heuristic, not a proven bound.
+    For n = 3 the tail estimate is the outer-shell mass |S(H) - S(H // 2)|,
+    the part of the sum from heights above H // 2; it is a heuristic, not a
+    proven bound.
     """
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     if threads is None:
         threads = _default_threads()
     _check_convergence(n, s)
@@ -515,11 +474,7 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int,
     inner = heights <= max(1, height // 2)
     total = _gl3_power_sum(vs, avs, w, c1, c2, threads)[0]
     inner_sum = _gl3_power_sum(vs[inner], avs[inner], w, c1, c2, threads)[0]
-    shell = abs(total - inner_sum)
-    # power-law extrapolation: shell mass ~ H^{-q} with q >= 1 implied by
-    # absolute convergence; geometric-in-octaves tail <= last octave mass
-    tail = float(shell)
-    return complex(total), tail
+    return complex(total), float(abs(total - inner_sum))
 
 
 def _eval_gl2(g: GroupElement, s: SpectralPoint, height: int
@@ -588,6 +543,8 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     half-grid provides a convergence diagnostic; a relative disagreement
     beyond `diag_tol` raises QuadratureError.
     """
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     if threads is None:
         threads = _default_threads()
     _check_convergence(n, request.s)
@@ -814,7 +771,7 @@ def check_functional_equation(partition: Partition, forms: FormSet,
         worst_abs = max(worst_abs, a)
         worst_rel = max(worst_rel, a / max(abs(left), 1e-300))
     return FEReport(mode="numeric", sigma=sigma,
-                    passed=worst_rel <= 1e-6, left=left, right=right,
+                    passed=bool(worst_rel <= 1e-6), left=left, right=right,
                     abs_residual=worst_abs, rel_residual=worst_rel,
                     metadata={"samples": len(samples),
                               "truncation": truncation})

@@ -268,14 +268,6 @@ def hecke_extend(form: FormSpec, m: int) -> complex:
     return out
 
 
-def _hecke_at_square(form: FormSpec, n: int) -> complex:
-    """lambda(n^2) without forming n^2 explicitly."""
-    out = 1.0 + 0.0j
-    for p, k in _factorize(n).items():
-        out *= _prime_power_eigenvalue(form, p, 2 * k)
-    return out
-
-
 # --------------------------- completed L-factors ----------------------------
 
 def _divisor_tail(truncation: int, sigma: float, power: int) -> float:
@@ -411,6 +403,8 @@ def form_to_json(form: FormSpec) -> str:
         "parity": form.parity,
         "alpha": [[a.real, a.imag] for a in form.alpha],
         "hecke": {str(p): [v.real, v.imag] for p, v in sorted(form.hecke.items())},
+        "satake": {str(p): [[b.real, b.imag] for b in beta]
+                   for p, beta in sorted(form.satake.items())},
     }
     return json.dumps(doc, indent=None, separators=(",", ":"))
 
@@ -423,4 +417,6 @@ def form_from_json(text: str) -> FormSpec:
         parity=int(doc.get("parity", 0)),
         alpha=tuple(complex(re, im) for re, im in doc["alpha"]),
         hecke={int(p): complex(re, im) for p, (re, im) in doc.get("hecke", {}).items()},
+        satake={int(p): tuple(complex(re, im) for re, im in beta)
+                for p, beta in doc.get("satake", {}).items()},
     )

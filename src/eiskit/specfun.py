@@ -101,19 +101,6 @@ def log_gamma(z: complex) -> complex:
     )
 
 
-def log_gamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized log_gamma for arrays with Re z >= 0.5 everywhere."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0.5):
-        return np.array([log_gamma(v) for v in z.ravel()]).reshape(z.shape)
-    w = z - 1.0
-    base = w + _LANCZOS_G + 0.5
-    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * np.log(base) - base + np.log(acc)
-
-
 # ------------------------------- Zeta ---------------------------------------
 
 @lru_cache(maxsize=None)
@@ -164,54 +151,8 @@ def zeta_completed(s: complex, terms: int = 50, corrections: int = 20) -> comple
 
 # ----------------------------- K-Bessel -------------------------------------
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES_CACHE[n]
-
-
-def _bessel_k_quadrature(nu: complex, x: float, tol: float = 1e-13) -> complex:
-    """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, adaptively truncated."""
-    a = abs(nu.real)
-    # find T with x*cosh(T) - a*T large enough for the tail to be negligible
-    t_max = 1.0
-    target = -math.log(tol) + 40.0
-    while x * math.cosh(t_max) - a * t_max - x < target:
-        t_max += 0.5
-    nodes, weights = _gauss_legendre(64)
-    prev = None
-    panels = 4
-    while panels <= 4096:
-        edges = np.linspace(0.0, t_max, panels + 1)
-        acc = 0.0 + 0.0j
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            t = mid + half * nodes
-            vals = np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-            acc += half * np.dot(weights, vals)
-        if prev is not None and abs(acc - prev) <= tol * max(1.0, abs(acc)):
-            return acc
-        prev = acc
-        panels *= 2
-    return prev
-
-
-def _bessel_k_asymptotic(nu: complex, x: float, max_terms: int = 30) -> complex:
-    """Large-x expansion sqrt(pi/2x) e^{-x} (1 + sum a_k(nu)/x^k)."""
-    acc = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    four_nu2 = 4.0 * nu * nu
-    for k in range(1, max_terms + 1):
-        term *= (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * acc
-
-
+# 16-node Gauss-Legendre rule on [-1, 1], applied per panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 BESSEL_ASYMPTOTIC_CROSSOVER = 30.0
 
 
@@ -219,10 +160,7 @@ def bessel_k(nu: complex, x: float) -> complex:
     """K-Bessel function of complex order nu at real x > 0."""
     if x <= 0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
-    nu = complex(nu)
-    if x >= BESSEL_ASYMPTOTIC_CROSSOVER:
-        return _bessel_k_asymptotic(nu, float(x))
-    return _bessel_k_quadrature(nu, float(x))
+    return complex(bessel_k_batch(nu, [x])[0])
 
 
 def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
@@ -240,13 +178,12 @@ def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
     while edges[-1] < t_max:
         edges.append(min(edges[-1] + width, t_max))
         width = min(2.0 * width, 0.5)
-    nodes, weights = _gauss_legendre(16)
     out = np.zeros(x.shape, dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid + half * nodes
+        t = mid + half * _GL_NODES
         vals = np.exp(-np.outer(x, np.cosh(t))) * np.cosh(nu * t)
-        out += half * (vals @ weights)
+        out += half * (vals @ _GL_WEIGHTS)
     return out
 
 

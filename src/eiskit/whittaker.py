@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .specfun import bessel_k, bessel_k_batch, gamma_complex
@@ -20,7 +18,6 @@ from .specfun import bessel_k, bessel_k_batch, gamma_complex
 __all__ = [
     "DomainError",
     "QuadratureError",
-    "WhittakerPoint",
     "WHITTAKER_GL2_CONSTANT",
     "WHITTAKER_GL3_CONSTANT",
     "whittaker_gl2",
@@ -39,20 +36,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved estimate {achieved:.3e})")
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class WhittakerPoint:
-    """Evaluation point: parameter vector alpha and torus coordinates y."""
-
-    alpha: tuple[complex, ...]
-    y: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.alpha) != len(self.y) + 1:
-            raise ValueError("need len(alpha) == len(y) + 1")
-        if any(v <= 0 for v in self.y):
-            raise ValueError("y coordinates must be positive")
 
 
 # Normalization constants tying the K-Bessel evaluators to the unipotent

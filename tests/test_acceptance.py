@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eiskit.cli import _compositions
 from eiskit.core import (
     GroupElement,
     Partition,
@@ -41,15 +42,6 @@ from eiskit.uniqueness import (
     enumerate_permutation_symmetries,
     random_falsification,
 )
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
 
 
 def test_01_rho_tables_exact():

@@ -14,6 +14,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error:")
+    assert "\n" not in err.strip()
+
+
 class TestRho:
     def test_borel_gl3(self, capsys):
         code, out, _ = run(capsys, "rho", "--partition", "1,1,1",
@@ -76,6 +82,28 @@ class TestCheckFE:
         assert doc["passed"] is True
         assert doc["rel_residual"] <= 1e-6
 
+    def test_numeric_nonzero_residual_reports(self, capsys):
+        # a nonzero residual once made `passed` an np.bool_, which the JSON
+        # report could not serialize
+        code, out, _ = run(capsys, "check-fe", "--partition", "2,1",
+                           "--forms", "mock:3,const", "--s", "0.4",
+                           "--sigma", "2,1", "--mode", "numeric")
+        doc = json.loads(out)
+        assert isinstance(doc["passed"], bool)
+        assert code == (0 if doc["passed"] else 1)
+
+    def test_pole_exits_2(self, capsys, tmp_path):
+        # alpha = (-1/2, 1/2) puts Gamma(1/2 + a1) of the adjoint L-value
+        # on its pole at 0
+        spec = tmp_path / "pole.json"
+        spec.write_text(json.dumps({"name": "pole", "degree": 2,
+                                    "alpha": [[-0.5, 0.0], [0.5, 0.0]]}))
+        code, _, err = run(capsys, "check-fe", "--partition", "2",
+                           "--forms", str(spec), "--sigma", "1",
+                           "--mode", "numeric")
+        assert_usage_error(code, err)
+        assert "pole" in err
+
     def test_bad_sigma_exits_2(self, capsys):
         code, _, err = run(capsys, "check-fe", "--partition", "1,1",
                            "--forms", "const,const", "--s", "1.5,-1.5",
@@ -115,6 +143,27 @@ class TestOutputs:
         assert doc["command"] == "eval"
         assert doc["value"]["re"] == pytest.approx(2.784, abs=2e-3)
         assert doc["tail_bound"] > 0
+
+    def test_eval_height_zero_exits_2(self, capsys):
+        code, _, err = run(capsys, "eval", "--partition", "1,1",
+                           "--s", "1.5", "--height", "0")
+        assert_usage_error(code, err)
+        assert "height" in err
+
+    def test_eval_malformed_thread_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("EISKIT_THREADS", "two")
+        code, _, err = run(capsys, "eval", "--partition", "1,1,1",
+                           "--s", "2,0", "--height", "2")
+        assert_usage_error(code, err)
+        assert "EISKIT_THREADS" in err
+
+    def test_extract_quadrature_failure_exits_2(self, capsys):
+        # 4 nodes cannot resolve e(5x): the node-doubling diagnostic fails
+        code, _, err = run(capsys, "extract", "--partition", "1,1",
+                           "--s", "1.5", "--m", "5", "--height", "10",
+                           "--nodes", "4")
+        assert_usage_error(code, err)
+        assert "node-doubling" in err
 
     def test_extract_matches_eval_pipeline(self, capsys):
         code, out, _ = run(capsys, "extract", "--partition", "1,1",

@@ -19,16 +19,8 @@ from eiskit.core import (
     rho_parabolic_star,
     rho_phi,
 )
+from eiskit.cli import _compositions
 from eiskit.forms import FormSet, const_form, mock_maass_form
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
 
 
 class TestRho:

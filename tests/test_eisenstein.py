@@ -1,6 +1,7 @@
 """Lattice-sum evaluation, Fourier extraction, and FE checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ from eiskit.eisenstein import (
     extract_fourier_coefficient,
     fw_formula,
     scattering_phi,
+    _coset_rows_gl3,
     _lift_pluecker,
-    _perp_basis,
 )
 from eiskit.specfun import zeta_completed
 
@@ -78,21 +79,23 @@ class TestCosets:
                 found += 1
         assert found > 50
 
-    def test_perp_basis_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            v = rng.integers(-30, 31, size=3)
-            g = math.gcd(math.gcd(abs(int(v[0])), abs(int(v[1]))),
-                         abs(int(v[2])))
-            if g == 0:
-                continue
-            v = tuple(int(x) // g for x in v)
-            b1, b2 = _perp_basis(v)
-            assert np.dot(b1, v) == 0 and np.dot(b2, v) == 0
-            # basis of the full perp lattice: some integer combo hits any
-            # perp vector; check the cross product is +-v (saturation)
-            c = np.cross(b1, b2)
-            assert tuple(np.abs(c)) == tuple(abs(x) for x in v)
+    def test_coset_rows_gl3_against_brute_force(self):
+        def box(h):
+            # sign-canonical primitive vectors with sup-norm <= h
+            return np.array([x for x in itertools.product(range(-h, h + 1),
+                                                          repeat=3)
+                             if math.gcd(*x) == 1
+                             and next(c for c in x if c) > 0])
+
+        for hv, ha in [(3, 3), (4, 7), (7, 4)]:
+            vbox, abox = box(hv), box(ha)
+            iv, ia = np.nonzero(vbox @ abox.T == 0)
+            expect = {(tuple(v), tuple(a))
+                      for v, a in zip(vbox[iv].tolist(), abox[ia].tolist())}
+            vs, avs = _coset_rows_gl3(hv, ha)
+            got = list(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
+            assert len(got) == len(set(got))
+            assert set(got) == expect
 
     def test_lift_pluecker(self):
         for v, a in [((1, 2, 3), (3, 0, -1)), ((0, 1, 0), (1, 0, 0)),
@@ -149,6 +152,16 @@ class TestEval:
         with pytest.raises(ConvergenceError):
             eval_eisenstein(2, GroupElement.identity(2),
                             SpectralPoint((0.3, -0.3), _borel(2)), 10)
+
+    def test_height_below_one_rejected(self):
+        s = SpectralPoint((2, 0, -2), _borel(3))
+        g = GroupElement.identity(3)
+        req = FWRequest(partition=_borel(3), forms=_trivial_forms(3),
+                        M=(1, 1), s=s, g=g)
+        with pytest.raises(ValueError, match="height"):
+            eval_eisenstein(3, g, s, 0)
+        with pytest.raises(ValueError, match="height"):
+            extract_fourier_coefficient(3, req, height=0, quad_nodes=4)
 
 
 class TestClosedForms:

@@ -54,6 +54,11 @@ class TestMockForms:
         g = form_from_json(form_to_json(f))
         assert g == f
         assert g.hecke[13] == pytest.approx(f.hecke[13], rel=1e-15)
+        # degree >= 3 prime powers come from the Satake parameters alone
+        f3 = mock_maass_form(3, 2)
+        g3 = form_from_json(form_to_json(f3))
+        assert g3.satake == f3.satake
+        assert hecke_extend(g3, 4) == hecke_extend(f3, 4)
 
 
 class TestHeckeExtend:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from eiskit.cli import _compositions
 from eiskit.core import Partition, SpectralPoint
 from eiskit.forms import FormSet, const_form, hecke_extend, mock_maass_form
 from eiskit.hecke import (
@@ -11,15 +12,6 @@ from eiskit.hecke import (
     divisor_sigma,
     eis_hecke_eigenvalue,
 )
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
 
 
 def _mock_formset(partition, base_seed=1):
