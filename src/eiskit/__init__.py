@@ -32,7 +32,6 @@ from .eisenstein import (
     FWRequest,
     check_functional_equation,
     closed_form_fourier_gl2,
-    enumerate_cosets,
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,

@@ -33,8 +33,7 @@ from .core import (GroupElement, Partition, SpectralPoint, langlands_parameter,
 from .forms import FormSet, const_form, form_from_json, mock_maass_form
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
-                          eval_eisenstein, extract_fourier_coefficient,
-                          fw_formula)
+                          eval_eisenstein, extract_fourier_coefficient)
 from .specfun import PoleError
 from .uniqueness import (BlockStructure, affine_map_from_json,
                          decide_affine_symmetry, random_falsification)
@@ -239,8 +238,7 @@ def _cmd_extract(args) -> int:
     request = FWRequest(partition=partition, forms=forms, M=m, s=s, g=g)
     nodes = args.nodes if args.nodes else (64 if n == 2 else 24)
     value = extract_fourier_coefficient(
-        n, request, height=args.height, quad_nodes=nodes,
-        threads=args.threads)
+        n, request, height=args.height, quad_nodes=nodes)
     report = {"command": "extract", "m": list(m), "height": args.height,
               "nodes": nodes, "value": value}
     rows = [{"m": ",".join(str(v) for v in m), "height": args.height,
@@ -254,8 +252,7 @@ def _cmd_eval(args) -> int:
     n = partition.n
     s = _parse_spectral(args.s, partition)
     g = _parse_group_element(args, n)
-    value, tail = eval_eisenstein(n, g, s, args.height,
-                                  threads=args.threads)
+    value, tail = eval_eisenstein(n, g, s, args.height)
     report = {"command": "eval", "height": args.height,
               "value": value, "tail_bound": tail}
     rows = [{"height": args.height, "re": value.real, "im": value.imag,
@@ -349,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="eiskit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, forms=False, s=False, output=True, threads=False):
+    def common(p, forms=False, s=False, output=True):
         p.add_argument("--partition", required=True,
                        help="comma-separated composition, e.g. 1,1,1")
         if forms:
@@ -363,9 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", help="report file path")
             p.add_argument("--format", choices=["json", "csv"],
                            default="json")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: EISKIT_THREADS)")
 
     p = sub.add_parser("rho", help="parabolic shift vectors")
     p.add_argument("--partition", required=True)
@@ -392,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_fe)
 
     p = sub.add_parser("extract", help="Fourier-coefficient extraction")
-    common(p, forms=True, s=True, threads=True)
+    common(p, forms=True, s=True)
     p.add_argument("--m", required=True, help="character indices, e.g. 1 or 1,1")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--nodes", type=int, default=None)
@@ -400,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("eval", help="truncated lattice-sum evaluation")
-    common(p, s=True, threads=True)
+    common(p, s=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--g", help="group element as a JSON matrix")
     p.set_defaults(func=_cmd_eval)

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -23,12 +20,9 @@ from .hecke import eis_hecke_eigenvalue
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
 
 __all__ = [
-    "CosetRep",
     "FWRequest",
     "FEReport",
     "ConvergenceError",
-    "FW_NORMALIZATION",
-    "enumerate_cosets",
     "canonical_coset_form",
     "eval_eisenstein",
     "closed_form_fourier_gl2",
@@ -41,30 +35,6 @@ __all__ = [
 
 class ConvergenceError(ValueError):
     """Spectral point outside the absolute-convergence regime."""
-
-
-def _default_threads() -> int:
-    """Worker-thread count from EISKIT_THREADS (default 1)."""
-    text = os.environ.get("EISKIT_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ValueError(
-            f"EISKIT_THREADS must be an integer, got {text!r}") from None
-
-
-@dataclass(frozen=True)
-class CosetRep:
-    """A unimodular representative of a lower-parabolic coset."""
-
-    matrix: np.ndarray
-    height: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int64)
-        object.__setattr__(self, "matrix", m)
-        if round(float(np.linalg.det(m))) != 1:
-            raise ValueError("coset representative must have determinant 1")
 
 
 @dataclass(frozen=True)
@@ -106,65 +76,11 @@ class FEReport:
 # ------------------------------- cosets --------------------------------------
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
 def _sign_canonical(v: tuple[int, ...]) -> tuple[int, ...]:
     for c in v:
         if c != 0:
             return v if c > 0 else tuple(-x for x in v)
     return v
-
-
-def _solve_dot_one(v: tuple[int, int, int]) -> np.ndarray:
-    """Integer w with w . v = 1 for primitive v."""
-    a, b, c = v
-    g1, x, y = _ext_gcd(a, b)
-    g2, u, t = _ext_gcd(g1, c)
-    if g2 != 1:
-        raise ValueError("vector is not primitive")
-    return np.array([x * u, y * u, t], dtype=np.int64)
-
-
-def _reduce_row(row: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Subtract the integer multiple of `base` that canonicalizes `row`.
-
-    The pivot is the first nonzero coordinate of `base`; the corresponding
-    coordinate of the result is reduced into [0, |pivot|).
-    """
-    idx = int(np.nonzero(base)[0][0])
-    p = int(base[idx])
-    t = (int(row[idx]) - (int(row[idx]) % abs(p))) // p
-    return row - t * base
-
-
-def _lift_pluecker(v: tuple[int, int, int], a: tuple[int, int, int]
-                   ) -> np.ndarray:
-    """Canonical unimodular lift of a Plucker pair (bottom row v, minor row a).
-
-    Requires a . v = 0 with both primitive.  The middle row solves
-    r2 x v = a (namely w x a for any w with w . v = 1), the top row solves
-    r1 . a = 1; both are then reduced modulo the rows below them.
-    """
-    w = _solve_dot_one(v)
-    va = np.array(v, dtype=np.int64)
-    r2 = np.cross(w, np.array(a, dtype=np.int64))
-    r1 = _solve_dot_one(a)
-    r2 = _reduce_row(r2, va)
-    r1 = _reduce_row(r1, va)
-    idx = int(np.nonzero(r2)[0][0])
-    p = int(r2[idx])
-    t = (int(r1[idx]) - (int(r1[idx]) % abs(p))) // p
-    r1 = r1 - t * r2
-    r1 = _reduce_row(r1, va)
-    m = np.vstack([r1, r2, va])
-    if round(float(np.linalg.det(m))) != 1:
-        raise AssertionError("lift lost unimodularity")
-    return m
 
 
 def canonical_coset_form(matrix: np.ndarray) -> tuple:
@@ -177,43 +93,11 @@ def canonical_coset_form(matrix: np.ndarray) -> tuple:
     return (v, a)
 
 
-def enumerate_cosets(n: int, height: int):
-    """Coset representatives for the Borel Eisenstein sum, up to `height`.
-
-    n=2: coprime bottom rows (c, d) with |c|, |d| <= height, one per +- pair.
-    n=3: Plucker pairs (primitive bottom row v, primitive minor vector a with
-    a . v = 0), both sign-canonical with sup-norm <= height, lifted to a
-    canonical unimodular matrix.
-    """
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    if n == 2:
-        for c in range(0, height + 1):
-            for d in range(-height, height + 1):
-                if c == 0 and d != 1:
-                    continue
-                if c > 0 and gcd(c, abs(d)) != 1:
-                    continue
-                if c == 0 and d == 1:
-                    yield CosetRep(np.array([[1, 0], [0, 1]], np.int64), 1)
-                    continue
-                g, x, y = _ext_gcd(c, d)
-                # x*c + y*d = 1 -> top row (y, -x) gives det = y*d - (-x)*c = 1
-                yield CosetRep(np.array([[y, -x], [c, d]], np.int64),
-                               max(abs(c), abs(d)))
-        return
-    if n != 3:
-        raise ValueError("only n = 2 and n = 3 are supported")
-    vs, avs = _coset_rows_gl3(height)
-    for v, a in zip(vs.tolist(), avs.tolist()):
-        yield CosetRep(_lift_pluecker(tuple(v), tuple(a)),
-                       max(abs(x) for x in v + a))
-
-
 def _coprime_pairs(height: int, chunk: int = 200):
-    """Vectorized bottom rows of enumerate_cosets(2, height), in c-chunks.
+    """Bottom rows of the GL(2) coset representatives up to `height`.
 
-    Yields (c, d) int64 array pairs covering the same representatives.
+    Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
+    every c > 0.  Yields (c, d) int64 array pairs in c-chunks.
     """
     yield (np.array([0], np.int64), np.array([1], np.int64))
     d_all = np.arange(-height, height + 1, dtype=np.int64)
@@ -261,7 +145,7 @@ _COSET_BLOCK = 1 << 16
 
 def _coset_rows_gl3(height: int, height_a: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Plucker rows (v, a) of enumerate_cosets(3, height).
+    """Stacked Plucker rows (v, a) of the GL(3) coset representatives.
 
     Every sign-canonical primitive v with |v| <= `height` (sup-norm), paired
     with every sign-canonical primitive a with a . v = 0 and |a| <= `height_a`
@@ -361,37 +245,29 @@ def _bilinear(table: np.ndarray, top: float, xv: np.ndarray,
                + flat[base + _WEIGHT_NODES + 1] * fx) * fy)
 
 
-def _gl3_power_sum(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
-                   c1: complex, c2: complex, threads: int = 1,
-                   cut=None, cut_weights=None) -> np.ndarray:
-    """sum over cosets of Y1(gamma W)^c1 Y2(gamma W)^c2 per grid matrix W.
+def _gl3_terms(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
+               c1: complex, c2: complex, cuts: np.ndarray | None = None,
+               cut_weights: np.ndarray | None = None):
+    """Terms Y1(gamma W)^c1 Y2(gamma W)^c2 per coset and grid matrix W.
 
-    Uses the row identities for M = gamma W with gamma = [[r1], [r2], [v]]:
+    Yields (lo, terms) for consecutive chunks of cosets, `terms` of shape
+    (chunk, grid) holding the cosets vs[lo:lo + chunk]; chunking bounds the
+    temporaries.  Uses the row identities for M = gamma W with
+    gamma = [[r1], [r2], [v]]:
       |row3(M)|^2 = |v W|^2,   row2 x row3 = (r2 x v) cof(W) = a cof(W),
       det M = det W,
     so only the Plucker data (v, a) enters.  Grid tensors are precomputed and
     the per-coset work is two real matrix products.
 
-    With `cut` set, each term carries the smooth weight
-    window(|v W| / cut) * window(|a cof(W)| / cut).  Both arguments are
+    With `cuts` set, each term carries the convex combination over the
+    cutoff scales c_k, with weights `cut_weights`, of the smooth weights
+    window(|v W| / c_k) * window(|a cof(W)| / c_k).  Both arguments are
     continuous coset invariants of gamma W, so the weighted full-lattice sum
     is an exactly 1-periodic C^infinity function of the unipotent coordinates
     of W -- the property the coefficient quadrature needs.  The caller must
     enumerate (vs, avs) widely enough to cover the window support for every
-    grid matrix.
-
-    `cut` may also be a sequence of cutoff scales with matching
-    `cut_weights`; each term then carries the convex combination of the
-    per-scale weights (a single smooth window again), sharing the power
-    evaluations (the dominant cost) across all scales.
+    grid matrix.  All scales share the power evaluations (the dominant cost).
     """
-    cuts = None if cut is None else np.atleast_1d(np.asarray(cut, dtype=float))
-    if cuts is not None and len(cuts) > 1:
-        if cut_weights is None or len(cut_weights) != len(cuts):
-            raise ValueError("multiple cuts need matching cut_weights")
-        cut_weights = np.asarray(cut_weights, dtype=float)
-    else:
-        cut_weights = np.ones(1)
     grid = w_mats.shape[0]
     w_flat = w_mats.transpose(1, 0, 2).reshape(3, grid * 3)
     cof = np.empty_like(w_mats)
@@ -417,14 +293,16 @@ def _gl3_power_sum(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
         top = cuts.max()
         table = _combined_weight_table(top, cuts, cut_weights)
 
-    def chunk_sum(lo: int, hi: int) -> np.ndarray:
-        r3 = (vs[lo:hi].astype(float) @ w_flat).reshape(hi - lo, grid, 3)
-        cr = (avs[lo:hi].astype(float) @ cof_flat).reshape(hi - lo, grid, 3)
+    for lo in range(0, len(vs), 256):
+        v, a = vs[lo:lo + 256].astype(float), avs[lo:lo + 256].astype(float)
+        r3 = (v @ w_flat).reshape(len(v), grid, 3)
+        cr = (a @ cof_flat).reshape(len(v), grid, 3)
         r3sq = np.einsum("cgk,cgk->cg", r3, r3)
         crsq = np.einsum("cgk,cgk->cg", cr, cr)
         if cuts is None:
             logp = e_cr * np.log(crsq) + e_r3 * np.log(r3sq) + c2r * log_det
-            return np.exp(logp).sum(axis=0)
+            yield lo, np.exp(logp)
+            continue
         rad_v = np.sqrt(r3sq)
         rad_a = np.sqrt(crsq)
         mask = (rad_v < top) & (rad_a < top)
@@ -432,27 +310,13 @@ def _gl3_power_sum(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
                 + c2r * np.broadcast_to(log_det, mask.shape)[mask])
         powers = np.exp(logp)
         weight = _bilinear(table, top, rad_v[mask], rad_a[mask])
-        out = np.zeros((hi - lo, grid),
-                       dtype=float if real_exp else complex)
+        out = np.zeros((len(v), grid), dtype=float if real_exp else complex)
         out[mask] = weight * powers
-        return out.sum(axis=0)
-
-    total = vs.shape[0]
-    step = max(1, min(256, total))
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: chunk_sum(*r), ranges))
-    else:
-        parts = [chunk_sum(*r) for r in ranges]
-    acc = np.zeros(grid, dtype=complex if not real_exp else float)
-    for p in parts:  # fixed reduction order: bit-reproducible
-        acc = acc + p
-    return acc
+        yield lo, out
 
 
-def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int,
-                    threads: int | None = None) -> tuple[complex, float]:
+def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
+                    ) -> tuple[complex, float]:
     """Truncated lattice sum of the Borel series, with a heuristic tail bound.
 
     Returns (partial sum over cosets of height <= `height`, tail estimate).
@@ -462,8 +326,6 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int,
     """
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    if threads is None:
-        threads = _default_threads()
     _check_convergence(n, s)
     if n == 2:
         return _eval_gl2(g, s, height)
@@ -472,8 +334,10 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int,
     w = g.entries[np.newaxis, :, :].astype(float)
     heights = np.maximum(np.abs(vs).max(axis=1), np.abs(avs).max(axis=1))
     inner = heights <= max(1, height // 2)
-    total = _gl3_power_sum(vs, avs, w, c1, c2, threads)[0]
-    inner_sum = _gl3_power_sum(vs[inner], avs[inner], w, c1, c2, threads)[0]
+    total = inner_sum = 0.0
+    for lo, terms in _gl3_terms(vs, avs, w, c1, c2):
+        total += terms.sum()
+        inner_sum += terms[inner[lo:lo + len(terms)]].sum()
     return complex(total), float(abs(total - inner_sum))
 
 
@@ -513,8 +377,9 @@ def closed_form_fourier_gl2(m: int, s1: complex, y: float) -> complex:
     m != 0:  2 sigma_{2 s1}(m) |m|^{-s1} sqrt(y) K_{s1}(2 pi |m| y) / zeta*(2 s1 + 1)
 
     The factor 2 for m != 0 makes this the exact e(m x)-coefficient of the
-    lattice sum over enumerate_cosets(2, .), as verified by quadrature
-    extraction (the one-sided expansion convention omits it).
+    lattice sum over the coprime bottom rows (c, d), one per +- pair, as
+    verified by quadrature extraction (the one-sided expansion convention
+    omits it).
     """
     from .hecke import divisor_sigma
     from .specfun import bessel_k, zeta_completed
@@ -533,8 +398,8 @@ def closed_form_fourier_gl2(m: int, s1: complex, y: float) -> complex:
 
 
 def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
-                                quad_nodes: int, diag_tol: float = 0.25,
-                                threads: int | None = None) -> complex:
+                                quad_nodes: int, diag_tol: float = 0.25
+                                ) -> complex:
     """M-th Fourier coefficient of the truncated series.
 
     Periodic trapezoid quadrature of the truncated lattice sum at u g against
@@ -545,8 +410,6 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     """
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    if threads is None:
-        threads = _default_threads()
     _check_convergence(n, request.s)
     if n == 2:
         # the height cutoff biases each coefficient by ~ C * H^(1-2 Re s1);
@@ -559,7 +422,7 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
             value = (w * value - v_lo) / (w - 1.0)
             half = (w * half - v_lo) / (w - 1.0)
     elif n == 3:
-        value, half = _extract_gl3(request, height, quad_nodes, threads)
+        value, half = _extract_gl3(request, height, quad_nodes)
     else:
         raise ValueError("only n = 2 and n = 3 are supported")
     if half is not None:
@@ -609,8 +472,8 @@ def _unipotent_grid(nodes: int, g: np.ndarray
     return w, u12.ravel(), u23.ravel()
 
 
-def _extract_gl3(request: FWRequest, height: int, quad_nodes: int,
-                 threads: int) -> tuple[complex, complex | None]:
+def _extract_gl3(request: FWRequest, height: int, quad_nodes: int
+                 ) -> tuple[complex, complex | None]:
     m1 = request.M[0]
     sp = request.s
     if request.partition.parts != (1, 1, 1):
@@ -638,8 +501,8 @@ def _extract_gl3(request: FWRequest, height: int, quad_nodes: int,
     cuts = np.linspace(0.3 * height, float(height), 24)
     cut_weights = np.hanning(len(cuts) + 2)[1:-1]
     cut_weights /= cut_weights.sum()
-    series = _gl3_power_sum(vs, avs, w, c1, c2, threads, cut=cuts,
-                            cut_weights=cut_weights)
+    series = sum(terms.sum(axis=0) for _, terms in
+                 _gl3_terms(vs, avs, w, c1, c2, cuts, cut_weights))
     phase = np.exp(-2j * math.pi * (m1 * u12 + u23))
     value = complex((series * phase).mean())
     half = None
@@ -654,32 +517,16 @@ def _extract_gl3(request: FWRequest, height: int, quad_nodes: int,
 
 # --------------------------- coefficient assembly ----------------------------
 
-# Per-n normalization constants of the factored coefficient ("up to a constant
-# depending only on n").  Measured once against quadrature extraction of the
-# truncated series at a reference point and frozen; see the calibration tests
-# for the measurement procedure.  n=2 reference: m=1, s1=1.5, y=1.
-# n=3 reference: m=1, s=(2,0,-2), y=(1,1).
-# measured once against coefficient extraction at the reference points
-# n = 2: m = 1, s = (3/2, -3/2), y = 1; the measurement agrees with
-#   1/zeta*(4) to machine precision and is constant in m (m = 1..7).
-# n = 3: m = (1,1), s = (2, 0, -2), y = (1, 1); the extraction converges to
-#   1/(zeta*(3)^2 zeta*(5)) x Whittaker value (0.12% at height 15).
-# In both cases the frozen constant is the reciprocal completion factor at
-# the reference s, so the factored coefficient matches raw extraction there.
-FW_NORMALIZATION = {2: 9.118906527810395, 3: 346.7365835804394}
-
-
 def fw_formula(request: FWRequest, truncation: int = 4000) -> complex:
-    """Factored form of the M-th Fourier coefficient.
+    """M-th Fourier coefficient of the completed series E*, factored.
 
-    normalization(n) x prod_{n_k >= 2} L*(1, Ad phi_k)^{-1/2}
-                     x lambda_{P,Phi}(M, s) x prod_k m_k^{-k(n-k)/2}
-                     x W_{alpha_{P,Phi}(s)}(M g).
+    prod_{n_k >= 2} L*(1, Ad phi_k)^{-1/2} x lambda_{P,Phi}(M, s)
+        x prod_k m_k^{-k(n-k)/2} x W_{alpha_{P,Phi}(s)}(M g).
 
-    The completed-L prefactors of the completed series cancel against the
-    first-coefficient denominator, so the assembly is purely multiplicative;
-    the frozen normalization constant absorbs everything independent of
-    (M, g) at the calibration point.
+    E* is the lattice sum times the completion factor
+    prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l), so the coefficient of the
+    raw lattice sum (what extract_fourier_coefficient measures) is
+    fw_formula(request) / forms.completion_factor(...).value.
     """
     from .core import iwasawa
 
@@ -703,7 +550,7 @@ def fw_formula(request: FWRequest, truncation: int = 4000) -> complex:
         wval = whittaker_gl2(alpha.entries[0], coords.y[0])
     else:
         wval = whittaker_gl3(alpha.entries, coords.y[1], coords.y[0])
-    return FW_NORMALIZATION[n] * adj * lam * power * wval
+    return adj * lam * power * wval
 
 
 # --------------------------- functional equations ----------------------------

@@ -57,13 +57,13 @@ class TruncatedValue(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FormSpec:
     """One tensor factor: degree, parity, Langlands parameter, Hecke data.
 
     ``satake`` optionally stores unit-circle parameters per prime; it is what
     makes prime-power eigenvalues well-defined for degree >= 3 mocks.
-    Equality is by name.
+    Equality compares every field; the hash is that of the name.
     """
 
     name: str
@@ -88,9 +88,6 @@ class FormSpec:
             raise ValueError("alpha entries must sum to 0")
         if self.degree == 1 and (alpha != (0j,) or self.hecke):
             raise ValueError("degree-1 factor must be the constant function")
-
-    def __eq__(self, other):
-        return isinstance(other, FormSpec) and self.name == other.name
 
     def __hash__(self):
         return hash(self.name)

@@ -24,7 +24,7 @@ from eiskit.core import (
     rho_parabolic_star,
     rho_phi,
 )
-from eiskit.forms import FormSet, const_form, mock_maass_form
+from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.hecke import check_permutation_covariance
 from eiskit.specfun import bessel_k, zeta_completed
 from eiskit.whittaker import QuadratureError, jacquet_oracle, whittaker_gl3
@@ -201,15 +201,23 @@ def test_09_gl3_whittaker_invariance_and_oracle():
 
 
 @pytest.mark.slow
-def test_10_gl3_numeric_coefficient_vs_factored_formula():
+@pytest.mark.parametrize("s_values", [
+    (2.4, 0.1, -2.5),
+    (2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j),
+], ids=["real", "complex"])
+def test_10_gl3_numeric_coefficient_vs_factored_formula(s_values):
+    # a real and a complex point away from s = (2, 0, -2), where a constant
+    # fitted at that one point would also agree: the raw coefficient is the
+    # E* coefficient over the completion factor
     t0 = time.time()
     p = Partition((1, 1, 1))
-    s = SpectralPoint((2.0, 0.0, -2.0), p)
+    s = SpectralPoint(s_values, p)
     forms = FormSet((const_form(),) * 3)
     g = GroupElement.identity(3)
     req = FWRequest(partition=p, forms=forms, M=(1, 1), s=s, g=g)
     got = extract_fourier_coefficient(3, req, height=15, quad_nodes=12)
-    want = fw_formula(req)
+    want = fw_formula(req) / completion_factor(p, forms, s,
+                                               truncation=4000).value
     assert abs(got - want) <= 5e-2 * abs(want), (got, want)
     assert time.time() - t0 < 900.0
 

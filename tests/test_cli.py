@@ -150,13 +150,6 @@ class TestOutputs:
         assert_usage_error(code, err)
         assert "height" in err
 
-    def test_eval_malformed_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("EISKIT_THREADS", "two")
-        code, _, err = run(capsys, "eval", "--partition", "1,1,1",
-                           "--s", "2,0", "--height", "2")
-        assert_usage_error(code, err)
-        assert "EISKIT_THREADS" in err
-
     def test_extract_quadrature_failure_exits_2(self, capsys):
         # 4 nodes cannot resolve e(5x): the node-doubling diagnostic fails
         code, _, err = run(capsys, "extract", "--partition", "1,1",

@@ -8,21 +8,19 @@ import numpy as np
 import pytest
 
 from eiskit.core import GroupElement, Partition, SpectralPoint
-from eiskit.forms import FormSet, const_form, mock_maass_form
+from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.eisenstein import (
     ConvergenceError,
     FWRequest,
-    FW_NORMALIZATION,
     canonical_coset_form,
     check_functional_equation,
     closed_form_fourier_gl2,
-    enumerate_cosets,
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,
     scattering_phi,
+    _coprime_pairs,
     _coset_rows_gl3,
-    _lift_pluecker,
 )
 from eiskit.specfun import zeta_completed
 
@@ -38,32 +36,27 @@ def _trivial_forms(n):
 class TestCosets:
     def test_gl2_canonical_unique(self):
         seen = set()
-        for rep in enumerate_cosets(2, 12):
-            mat = rep.matrix
-            assert round(float(np.linalg.det(mat))) == 1
-            key = canonical_coset_form(mat)
-            assert key not in seen
-            seen.add(key)
+        for cs, ds in _coprime_pairs(12):
+            for c, d in zip(cs.tolist(), ds.tolist()):
+                # a unimodular lift: a d - b c = 1
+                a = pow(d, -1, c) if c else 1
+                mat = np.array([[a, (a * d - 1) // c if c else 0], [c, d]])
+                assert round(float(np.linalg.det(mat))) == 1
+                key = canonical_coset_form(mat)
+                assert key == (c, d)
+                assert key not in seen
+                seen.add(key)
         # coprime pairs (c,d), |c|,|d| <= H, one per +-: c>0 plus identity
         count = 1 + sum(1 for c in range(1, 13) for d in range(-12, 13)
                         if math.gcd(c, abs(d)) == 1)
         assert len(seen) == count
 
-    def test_gl3_reps_are_unimodular_and_distinct(self):
-        seen = set()
-        for rep in enumerate_cosets(3, 3):
-            assert round(float(np.linalg.det(rep.matrix))) == 1
-            key = canonical_coset_form(rep.matrix)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) > 500
-
     def test_gl3_complete_against_brute_force(self):
         # every unimodular matrix with bottom row and minor vector within the
         # height bound must land in an enumerated coset
         height = 2
-        keys = {canonical_coset_form(rep.matrix)
-                for rep in enumerate_cosets(3, height)}
+        vs, avs = _coset_rows_gl3(height)
+        keys = set(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
         rng = np.random.default_rng(2)
         found = 0
         for _ in range(300):
@@ -96,14 +89,6 @@ class TestCosets:
             got = list(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
             assert len(got) == len(set(got))
             assert set(got) == expect
-
-    def test_lift_pluecker(self):
-        for v, a in [((1, 2, 3), (3, 0, -1)), ((0, 1, 0), (1, 0, 0)),
-                     ((2, 3, 5), (1, 1, -1))]:
-            mat = _lift_pluecker(v, a)
-            assert round(float(np.linalg.det(mat.astype(float)))) == 1
-            assert tuple(mat[2]) == v
-            assert tuple(np.cross(mat[1], mat[2])) == a
 
 
 class TestEval:
@@ -223,29 +208,19 @@ class TestExtractionGL2:
 
 
 class TestFWFormula:
-    def test_gl2_calibration_record(self):
-        # the frozen normalization ties the factored coefficient to the raw
-        # extraction at the reference point m=1, s1=1.5, y=1; the constant
-        # there equals 1/zeta*(4) because the closed form carries that
-        # completion factor
-        assert FW_NORMALIZATION[2] == pytest.approx(
-            abs(1.0 / zeta_completed(4.0)), rel=1e-12)
-        g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
-        s = SpectralPoint((1.5, -1.5), _borel(2))
-        req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
-                        M=(1,), s=s, g=g)
-        assert fw_formula(req) == pytest.approx(
-            closed_form_fourier_gl2(1, 1.5, 1.0), rel=1e-10)
-
-    def test_gl2_m_scaling(self):
-        # fw tracks the closed forms in m at the calibration s
-        g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
-        s = SpectralPoint((1.5, -1.5), _borel(2))
-        for m in (2, 3, 5):
+    def test_gl2_raw_coefficient_is_completed_over_completion_factor(self):
+        # the E* coefficient divided by the completion factor zeta*(2 s1 + 1)
+        # is the coefficient of the raw lattice sum, at every s, m and y
+        for s1, m, y in itertools.product((1.2, 1.5, 2.0, 1.1 + 0.5j),
+                                          (1, 2, 3, 6), (0.7, 1.0, 1.6)):
+            g = GroupElement.from_iwasawa(np.eye(2), (y,))
+            s = SpectralPoint((s1, -s1), _borel(2))
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                             M=(m,), s=s, g=g)
-            assert fw_formula(req) == pytest.approx(
-                closed_form_fourier_gl2(m, 1.5, 1.0), rel=1e-8), m
+            completion = completion_factor(_borel(2), _trivial_forms(2), s,
+                                           truncation=4000).value
+            assert fw_formula(req) / completion == pytest.approx(
+                closed_form_fourier_gl2(m, s1, y), rel=1e-10), (s1, m, y)
 
     def test_rejects_m_zero(self):
         req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),

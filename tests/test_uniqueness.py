@@ -1,5 +1,6 @@
 """Exact affine-symmetry decisions, enumeration, and falsification."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -157,6 +158,18 @@ class TestEnumeration:
         forms = FormSet((phi, phi))
         assert sorted(enumerate_permutation_symmetries(part, forms)) == [
             (0, 1), (1, 0)]
+
+    def test_forms_sharing_a_name_are_not_equal(self):
+        # a form carrying mock:2's data under mock:1's name, as a JSON form
+        # may, is a different form from mock:1
+        part = Partition((2, 2))
+        impostor = dataclasses.replace(mock_maass_form(2, 2), name="mock2:1")
+        genuine = mock_maass_form(2, 1)
+        assert impostor.name == genuine.name
+        assert impostor != genuine
+        forms = FormSet((genuine, impostor))
+        assert BlockStructure.from_forms(part, forms).sizes == (1, 1)
+        assert enumerate_permutation_symmetries(part, forms) == [(0, 1)]
 
     def test_mixed_partition(self):
         part = Partition((1, 2, 1))
