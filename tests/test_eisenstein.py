@@ -208,6 +208,32 @@ class TestExtractionGL2:
 
 
 class TestFWFormula:
+    def test_gl2_calibration_record(self):
+        # at the reference point m=1, s1=1.5, y=1 the completion factor is
+        # zeta*(4), and dividing it out of the factored coefficient gives the
+        # closed form of the raw lattice sum
+        g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
+        s = SpectralPoint((1.5, -1.5), _borel(2))
+        req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
+                        M=(1,), s=s, g=g)
+        completion = completion_factor(_borel(2), _trivial_forms(2), s,
+                                       truncation=4000).value
+        assert completion == pytest.approx(zeta_completed(4.0), rel=1e-12)
+        assert fw_formula(req) / completion == pytest.approx(
+            closed_form_fourier_gl2(1, 1.5, 1.0), rel=1e-10)
+
+    def test_gl2_m_scaling(self):
+        # fw tracks the closed forms in m at the reference s
+        g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
+        s = SpectralPoint((1.5, -1.5), _borel(2))
+        completion = completion_factor(_borel(2), _trivial_forms(2), s,
+                                       truncation=4000).value
+        for m in (2, 3, 5):
+            req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
+                            M=(m,), s=s, g=g)
+            assert fw_formula(req) / completion == pytest.approx(
+                closed_form_fourier_gl2(m, 1.5, 1.0), rel=1e-8), m
+
     def test_gl2_raw_coefficient_is_completed_over_completion_factor(self):
         # the E* coefficient divided by the completion factor zeta*(2 s1 + 1)
         # is the coefficient of the raw lattice sum, at every s, m and y
