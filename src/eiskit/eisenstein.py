@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GroupElement, Partition, SpectralPoint, langlands_parameter
+from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
+                   langlands_parameter, rho_borel)
 from .forms import FormSet, adjoint_l_at_one
 from .hecke import eis_hecke_eigenvalue
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
@@ -84,53 +85,62 @@ def _sign_canonical(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def canonical_coset_form(matrix: np.ndarray) -> tuple:
-    """Canonical key identifying the lower-parabolic coset of `matrix`."""
+    """Key of the coset of `matrix` under integer upper-triangular matrices.
+
+    Invariant under left multiplication by any upper-triangular matrix in
+    GL(n, Z), the group the lattice sums quotient by.
+    """
     m = np.asarray(matrix, dtype=np.int64)
-    if m.shape == (2, 2):
-        return _sign_canonical((int(m[1, 0]), int(m[1, 1])))
-    v = _sign_canonical(tuple(int(x) for x in m[2]))
-    a = _sign_canonical(tuple(int(x) for x in np.cross(m[1], m[2])))
-    return (v, a)
+    v = _sign_canonical(tuple(int(x) for x in m[-1]))
+    if len(m) == 2:
+        return v
+    return (v, _sign_canonical(tuple(int(x) for x in np.cross(m[1], m[2]))))
 
 
 def _coprime_pairs(height: int, chunk: int = 200):
-    """Bottom rows of the GL(2) coset representatives up to `height`.
+    """Bottom rows (c, d) of the GL(2) coset representatives up to `height`.
 
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
-    every c > 0.  Yields (c, d) int64 array pairs in c-chunks.
+    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks.
     """
-    yield (np.array([0], np.int64), np.array([1], np.int64))
+    yield np.array([[0, 1]], np.int64)
     d_all = np.arange(-height, height + 1, dtype=np.int64)
     for lo in range(1, height + 1, chunk):
         cs = np.arange(lo, min(lo + chunk, height + 1), dtype=np.int64)
         cg, dg = np.meshgrid(cs, d_all, indexing="ij")
         keep = np.gcd(cg, np.abs(dg)) == 1
-        yield (cg[keep], dg[keep])
+        yield np.stack((cg[keep], dg[keep]), axis=1)
 
 
 # ----------------------------- series evaluation -----------------------------
 
 
-def _check_convergence(n: int, s: SpectralPoint) -> None:
-    vals = s.values
-    if n == 2:
-        if vals[0].real <= 0.5:
+def _check_series(n: int, s: SpectralPoint, height: int) -> None:
+    """Reject a lattice sum outside the Borel series of GL(2) and GL(3)."""
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
+    if n not in (2, 3) or s.partition.parts != (1,) * n:
+        raise ValueError("lattice sums cover the Borel series for n = 2, 3")
+    for i in range(n - 1):
+        if (s.values[i] - s.values[i + 1]).real <= 1.0:
             raise ConvergenceError(
-                f"need Re s1 > 1/2 for absolute convergence, got {vals[0]}")
-    else:
-        for i in range(len(vals) - 1):
-            if (vals[i] - vals[i + 1]).real <= 1.0:
-                raise ConvergenceError(
-                    "need Re(s_i - s_{i+1}) > 1 for absolute convergence")
+                "need Re(s_i - s_{i+1}) > 1 for absolute convergence")
 
 
-def _borel_exponents(n: int, s: SpectralPoint) -> tuple[complex, ...]:
-    """Exponents (c1, ..., c_{n-1}) with |g|^{s+rho} = prod Y_i^{c_i}."""
-    if n == 2:
-        a = (s.values[0] + 0.5,)
-        return (a[0],)
-    a = tuple(s.values[i] + (1 - i) for i in range(3))  # s + (1, 0, -1)
-    return (a[0] + a[1], a[0])
+def _term_exponents(n: int, s: SpectralPoint) -> tuple:
+    """Exponents (e_v, [e_a,] e_det) of the coset term in `_lattice_terms`.
+
+    With lam = s + rho the term is prod_i a_i^lam_i over the Iwasawa
+    diagonal a of M = gamma W, where |v W| = a_n, |a cof(W)| = a_{n-1} a_n
+    and |det W| = a_1 ... a_n; so e_k = (lam_{n+1-k} - lam_{n-k}) / 2 on
+    the squared norms and e_det = lam_1.  Real exponents come back as floats.
+    """
+    lam = [v + float(r) for v, r in zip(s.values, rho_borel(n))]
+    exps = [(lam[n - k] - lam[n - k - 1]) / 2 for k in range(1, n)]
+    exps.append(lam[0])
+    if all(abs(e.imag) < 1e-14 for e in exps):
+        return tuple(e.real for e in exps)
+    return tuple(exps)
 
 
 def _canonical_primitive(x: np.ndarray) -> np.ndarray:
@@ -245,119 +255,124 @@ def _bilinear(table: np.ndarray, top: float, xv: np.ndarray,
                + flat[base + _WEIGHT_NODES + 1] * fx) * fy)
 
 
-def _gl3_terms(vs: np.ndarray, avs: np.ndarray, w_mats: np.ndarray,
-               c1: complex, c2: complex, cuts: np.ndarray | None = None,
-               cut_weights: np.ndarray | None = None):
-    """Terms Y1(gamma W)^c1 Y2(gamma W)^c2 per coset and grid matrix W.
+# GL(3) chunks: _TERM_BLOCK (coset, grid point) terms bound the temporaries
+# on small grids; at least 256 cosets amortize the per-chunk calls
+_TERM_BLOCK = 1 << 14
 
-    Yields (lo, terms) for consecutive chunks of cosets, `terms` of shape
-    (chunk, grid) holding the cosets vs[lo:lo + chunk]; chunking bounds the
-    temporaries.  Uses the row identities for M = gamma W with
-    gamma = [[r1], [r2], [v]]:
-      |row3(M)|^2 = |v W|^2,   row2 x row3 = (r2 x v) cof(W) = a cof(W),
-      det M = det W,
-    so only the Plucker data (v, a) enters.  Grid tensors are precomputed and
-    the per-coset work is two real matrix products.
 
-    With `cuts` set, each term carries the convex combination over the
-    cutoff scales c_k, with weights `cut_weights`, of the smooth weights
+def _chunks(rows: tuple[np.ndarray, ...], grid: int):
+    """Stacked Plucker rows in chunks of max(256, _TERM_BLOCK / grid) cosets."""
+    step = max(256, _TERM_BLOCK // grid)
+    return (tuple(r[lo:lo + step] for r in rows)
+            for lo in range(0, len(rows[0]), step))
+
+
+def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """|p M|^2 for every row p of `rows` and grid matrix M: (rows, grid).
+
+    Accumulated one column of M at a time, in place, to bound temporaries.
+    """
+    p = rows.astype(float)
+    out = np.zeros((len(p), len(mats)))
+    col = np.empty_like(out)
+    for j in range(mats.shape[2]):
+        np.matmul(p, mats[:, :, j].T, out=col)
+        col *= col
+        out += col
+    return out
+
+
+def _lattice_terms(chunks, w_mats: np.ndarray, exps: tuple,
+                   cuts: np.ndarray | None = None,
+                   cut_weights: np.ndarray | None = None):
+    """Coset terms |vW|^2e_v |a cof(W)|^2e_a |det W|^e_det per grid matrix W.
+
+    Yields (rows, terms) for each chunk of Plucker rows, (v,) for GL(2) and
+    (v, a) for GL(3), `terms` of shape (chunk, grid); `exps` comes from
+    `_term_exponents`.  For M = gamma W with gamma = [[r1], [r2], [v]]
+    (GL(2): [[r1], [v]]) the row identities
+      |row_n(M)|^2 = |v W|^2,   row2 x row3 = (r2 x v) cof(W) = a cof(W),
+      det M = det W
+    mean that only the Plucker data enters, and the per-coset work is real
+    matrix products.
+
+    With `cuts` set (GL(3)), each term carries the convex combination over
+    the cutoff scales c_k, with weights `cut_weights`, of the smooth weights
     window(|v W| / c_k) * window(|a cof(W)| / c_k).  Both arguments are
     continuous coset invariants of gamma W, so the weighted full-lattice sum
     is an exactly 1-periodic C^infinity function of the unipotent coordinates
     of W -- the property the coefficient quadrature needs.  The caller must
-    enumerate (vs, avs) widely enough to cover the window support for every
+    enumerate the rows widely enough to cover the window support for every
     grid matrix.  All scales share the power evaluations (the dominant cost).
     """
-    grid = w_mats.shape[0]
-    w_flat = w_mats.transpose(1, 0, 2).reshape(3, grid * 3)
-    cof = np.empty_like(w_mats)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(w_mats, i, axis=1), j, axis=2)
-            cof[:, i, j] = ((-1) ** (i + j)) * (
-                minor[:, 0, 0] * minor[:, 1, 1]
-                - minor[:, 0, 1] * minor[:, 1, 0])
-    cof_flat = cof.transpose(1, 0, 2).reshape(3, grid * 3)
-    dets = np.abs(np.linalg.det(w_mats))
-    log_det = np.log(dets)
-    real_exp = (abs(complex(c1).imag) < 1e-14
-                and abs(complex(c2).imag) < 1e-14)
-    e_cr = 0.5 * c1 - c2
-    e_r3 = -c1 + 0.5 * c2
-    if real_exp:
-        e_cr, e_r3, c2r = e_cr.real, e_r3.real, complex(c2).real
-    else:
-        c2r = c2
-
+    *row_exps, e_det = exps
+    dets = np.linalg.det(w_mats)
+    # W acts on v, cof(W) = det(W) W^-T on a (GL(2) rows have no a)
+    cof = dets[:, None, None] * np.linalg.inv(w_mats).transpose(0, 2, 1)
+    mats = [w_mats, cof]
+    log_det = np.log(np.abs(dets))
     if cuts is not None:
         top = cuts.max()
         table = _combined_weight_table(top, cuts, cut_weights)
-
-    for lo in range(0, len(vs), 256):
-        v, a = vs[lo:lo + 256].astype(float), avs[lo:lo + 256].astype(float)
-        r3 = (v @ w_flat).reshape(len(v), grid, 3)
-        cr = (a @ cof_flat).reshape(len(v), grid, 3)
-        r3sq = np.einsum("cgk,cgk->cg", r3, r3)
-        crsq = np.einsum("cgk,cgk->cg", cr, cr)
+    for rows in chunks:
+        sqs = [_norm_sq(p, m) for p, m in zip(rows, mats)]
+        lds = log_det
+        if cuts is not None:
+            rad_v, rad_a = np.sqrt(sqs[0]), np.sqrt(sqs[1])
+            mask = (rad_v < top) & (rad_a < top)
+            sqs = [sq[mask] for sq in sqs]
+            lds = np.broadcast_to(log_det, mask.shape)[mask]
+        logp = None
+        for sq, e in zip(sqs, row_exps):  # in place: the arrays are large
+            np.log(sq, out=sq)
+            sq = np.multiply(sq, e, out=sq if isinstance(e, float) else None)
+            logp = sq if logp is None else np.add(logp, sq, out=logp)
+        logp += e_det * lds
+        powers = np.exp(logp, out=logp)
         if cuts is None:
-            logp = e_cr * np.log(crsq) + e_r3 * np.log(r3sq) + c2r * log_det
-            yield lo, np.exp(logp)
+            yield rows, powers
             continue
-        rad_v = np.sqrt(r3sq)
-        rad_a = np.sqrt(crsq)
-        mask = (rad_v < top) & (rad_a < top)
-        logp = (e_cr * np.log(crsq[mask]) + e_r3 * np.log(r3sq[mask])
-                + c2r * np.broadcast_to(log_det, mask.shape)[mask])
-        powers = np.exp(logp)
-        weight = _bilinear(table, top, rad_v[mask], rad_a[mask])
-        out = np.zeros((len(v), grid), dtype=float if real_exp else complex)
-        out[mask] = weight * powers
-        yield lo, out
+        terms = np.zeros(mask.shape, dtype=powers.dtype)
+        terms[mask] = _bilinear(table, top, rad_v[mask], rad_a[mask]) * powers
+        yield rows, terms
+
+
+def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice sums S(H) and S(H // 2) over the cosets, per grid matrix.
+
+    One pass: each coset's term is evaluated once and also enters the inner
+    sum when the coset's height (the sup-norm of its Plucker rows) is at
+    most H // 2.  GL(2) sums in the c-blocks of `_coprime_pairs`: its
+    coefficients cancel to ~1e-4 of the series, so their last digits depend
+    on that order.
+    """
+    if n == 2:
+        chunks = ((v,) for v in _coprime_pairs(height))
+    else:
+        chunks = _chunks(_coset_rows_gl3(height), len(w_mats))
+    half = max(1, height // 2)
+    total = inner = 0.0
+    for rows, terms in _lattice_terms(chunks, w_mats, _term_exponents(n, s)):
+        heights = np.abs(np.concatenate(rows, axis=1)).max(axis=1)
+        total = total + terms.sum(axis=0)
+        inner = inner + terms[heights <= half].sum(axis=0)
+    return total, inner
 
 
 def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
                     ) -> tuple[complex, float]:
     """Truncated lattice sum of the Borel series, with a heuristic tail bound.
 
-    Returns (partial sum over cosets of height <= `height`, tail estimate).
-    For n = 3 the tail estimate is the outer-shell mass |S(H) - S(H // 2)|,
+    Returns (partial sum S(H) over cosets of height <= H = `height`, tail
+    estimate).  The tail estimate is the outer-shell mass |S(H) - S(H // 2)|,
     the part of the sum from heights above H // 2; it is a heuristic, not a
     proven bound.
     """
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-    _check_convergence(n, s)
-    if n == 2:
-        return _eval_gl2(g, s, height)
-    vs, avs = _coset_rows_gl3(height)
-    c1, c2 = _borel_exponents(3, s)
-    w = g.entries[np.newaxis, :, :].astype(float)
-    heights = np.maximum(np.abs(vs).max(axis=1), np.abs(avs).max(axis=1))
-    inner = heights <= max(1, height // 2)
-    total = inner_sum = 0.0
-    for lo, terms in _gl3_terms(vs, avs, w, c1, c2):
-        total += terms.sum()
-        inner_sum += terms[inner[lo:lo + len(terms)]].sum()
-    return complex(total), float(abs(total - inner_sum))
-
-
-def _eval_gl2(g: GroupElement, s: SpectralPoint, height: int
-              ) -> tuple[complex, float]:
-    from .core import iwasawa
-
-    coords, _, _ = iwasawa(g)
-    y = float(coords.y[0])
-    x = float(coords.x[0, 1])
-    z = complex(x, y)
-    sigma = s.values[0] + 0.5
-    total = 0j
-    for c, d in _coprime_pairs(height):
-        denom = np.abs(c * z + d) ** 2
-        total += complex(np.exp(sigma * (math.log(y) - np.log(denom))).sum())
-    sr = sigma.real
-    tail = (2.5 * y**sr * min(1.0, y) ** (-2 * sr)
-            * height ** (2 - 2 * sr) / max(2 * sr - 2, 1e-9))
-    return total, float(tail)
+    _check_series(n, s, height)
+    total, inner = _shell_sums(n, g.entries[np.newaxis].astype(float), s,
+                               height)
+    return complex(total[0]), float(abs(total[0] - inner[0]))
 
 
 # --------------------------- GL(2) closed forms -------------------------------
@@ -408,23 +423,44 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     half-grid provides a convergence diagnostic; a relative disagreement
     beyond `diag_tol` raises QuadratureError.
     """
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height}")
-    _check_convergence(n, request.s)
+    _check_series(n, request.s, height)
+    w, phase = _unipotent_grid(n, quad_nodes, request.g.entries.astype(float),
+                               request.M)
     if n == 2:
         # the height cutoff biases each coefficient by ~ C * H^(1-2 Re s1);
         # a two-height extrapolation with that exact exponent cancels it
-        value, half = _extract_gl2(request, height, quad_nodes)
+        series, inner = _shell_sums(2, w, request.s, height)
+        value, half = _quadrature(series, phase)
         if height >= 8:
-            v_lo, _ = _extract_gl2(request, height // 2, quad_nodes)
-            q = 2.0 * request.s.values[0].real - 1.0
-            w = 2.0 ** q
-            value = (w * value - v_lo) / (w - 1.0)
-            half = (w * half - v_lo) / (w - 1.0)
-    elif n == 3:
-        value, half = _extract_gl3(request, height, quad_nodes)
+            v_lo, _ = _quadrature(inner, phase)
+            r = 2.0 ** (2.0 * request.s.values[0].real - 1.0)
+            value = (r * value - v_lo) / (r - 1.0)
+            if half is not None:
+                half = (r * half - v_lo) / (r - 1.0)
     else:
-        raise ValueError("only n = 2 and n = 3 are supported")
+        # smooth-window truncation: weight each coset by window(|vW|/H) *
+        # window(|a cof(W)|/H), making the quadrature integrand an exactly
+        # periodic C^infinity function of u (aliasing decays faster than any
+        # power of the node count).  Enumerate wide enough to cover the
+        # window support at every grid point: |v| <= H / sigma_min(W) and
+        # |a| <= H * sigma_max(W) / det(W).
+        svals = np.linalg.svd(w, compute_uv=False)
+        dets = np.abs(np.linalg.det(w))
+        hv = int(math.ceil(height * (1.0 / svals[:, 2].min())))
+        ha = int(math.ceil(height * (svals[:, 0] / dets).max()))
+        # average the smooth truncation over a band of cutoff scales: the
+        # scale average of smooth windows is itself a smooth window, and it
+        # cancels the arithmetic fluctuation of the boundary shells (the
+        # dominant truncation error) at no extra power-evaluation cost.  Hann
+        # weighting of the scales suppresses the band-edge contribution of
+        # the oscillatory part.
+        cuts = np.linspace(0.3 * height, float(height), 24)
+        cut_weights = np.hanning(len(cuts) + 2)[1:-1]
+        cut_weights /= cut_weights.sum()
+        series = sum(terms.sum(axis=0) for _, terms in _lattice_terms(
+            _chunks(_coset_rows_gl3(hv, ha), len(w)), w,
+            _term_exponents(3, request.s), cuts, cut_weights))
+        value, half = _quadrature(series, phase)
     if half is not None:
         disagreement = abs(value - half) / max(abs(value), 1e-300)
         if disagreement > diag_tol:
@@ -434,85 +470,37 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     return value
 
 
-def _extract_gl2(request: FWRequest, height: int, quad_nodes: int
-                 ) -> tuple[complex, complex | None]:
-    from .core import iwasawa
+def _unipotent_grid(n: int, nodes: int, g: np.ndarray, M: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Grid matrices u g and phases exp(-2 pi i sum_i M_i u_{i,i+1}).
 
-    m = request.M[0]
-    coords, _, _ = iwasawa(request.g)
-    y = float(coords.y[0])
-    x0 = float(coords.x[0, 1])
-    sigma = request.s.values[0] + 0.5
-    # window centered on the base point: the truncated series is symmetric
-    # under u -> -u there, so the symmetric grid cancels odd truncation noise
-    u = ((np.arange(quad_nodes) - quad_nodes // 2) / quad_nodes)[None, :]
-    z = (x0 + u) + 1j * y
-    series = np.zeros(quad_nodes, dtype=complex)
-    for c, d in _coprime_pairs(height):
-        denom = np.abs(c[:, None] * z + d[:, None]) ** 2
-        series += np.exp(sigma * (math.log(y) - np.log(denom))).sum(axis=0)
-    phase = np.exp(-2j * math.pi * m * u[0])
-    value = complex((series * phase).mean())
-    half = None
-    if quad_nodes % 2 == 0:
-        half = complex((series[::2] * phase[::2]).mean())
-    return value, half
-
-
-def _unipotent_grid(nodes: int, g: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    u runs over the unipotent upper-triangular matrices whose entries u_ij
+    (i < j) each take `nodes` values centred on 0: the truncated series is
+    symmetric under u -> -u there, so the symmetric grid cancels odd
+    truncation noise.  The phases have one axis of length `nodes` per u_ij,
+    in the order of the grid matrices.
+    """
     u = (np.arange(nodes) - nodes // 2) / nodes
-    u12, u13, u23 = np.meshgrid(u, u, u, indexing="ij")
-    grid = nodes**3
-    w = np.tile(np.eye(3), (grid, 1, 1))
-    w[:, 0, 1] = u12.ravel()
-    w[:, 0, 2] = u13.ravel()
-    w[:, 1, 2] = u23.ravel()
-    w = w @ g[np.newaxis, :, :]
-    return w, u12.ravel(), u23.ravel()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coords = np.meshgrid(*[u] * len(pairs), indexing="ij")
+    w = np.tile(np.eye(n), (nodes ** len(pairs), 1, 1))
+    arg = np.zeros(coords[0].shape)
+    for (i, j), c in zip(pairs, coords):
+        w[:, i, j] = c.ravel()
+        if j == i + 1:
+            arg += M[i] * c
+    return w @ g, np.exp(-2j * math.pi * arg)
 
 
-def _extract_gl3(request: FWRequest, height: int, quad_nodes: int
-                 ) -> tuple[complex, complex | None]:
-    m1 = request.M[0]
-    sp = request.s
-    if request.partition.parts != (1, 1, 1):
-        raise ValueError("series extraction is implemented for the Borel case")
-    c1, c2 = _borel_exponents(3, sp)
-    w, u12, u23 = _unipotent_grid(quad_nodes, request.g.entries.astype(float))
-    # smooth-window truncation: weight each coset by window(|vW|/H) *
-    # window(|a cof(W)|/H), making the quadrature integrand an exactly
-    # periodic C^infinity function of u (aliasing decays faster than any
-    # power of the node count).  Enumerate wide enough to cover the window
-    # support at every grid point: |v| <= H / sigma_min(W) and
-    # |a| <= H * sigma_max(W) / det(W).
-    svals = np.linalg.svd(w, compute_uv=False)
-    dets = np.abs(np.linalg.det(w))
-    margin_v = 1.0 / svals[:, 2].min()
-    margin_a = (svals[:, 0] / dets).max()
-    hv = int(math.ceil(height * margin_v))
-    ha = int(math.ceil(height * margin_a))
-    vs, avs = _coset_rows_gl3(hv, ha)
-    # average the smooth truncation over a band of cutoff scales: the scale
-    # average of smooth windows is itself a smooth window, and it cancels the
-    # arithmetic fluctuation of the boundary shells (the dominant truncation
-    # error) at no extra power-evaluation cost.  Hann weighting of the scales
-    # suppresses the band-edge contribution of the oscillatory part.
-    cuts = np.linspace(0.3 * height, float(height), 24)
-    cut_weights = np.hanning(len(cuts) + 2)[1:-1]
-    cut_weights /= cut_weights.sum()
-    series = sum(terms.sum(axis=0) for _, terms in
-                 _gl3_terms(vs, avs, w, c1, c2, cuts, cut_weights))
-    phase = np.exp(-2j * math.pi * (m1 * u12 + u23))
-    value = complex((series * phase).mean())
+def _quadrature(series: np.ndarray, phase: np.ndarray
+                ) -> tuple[complex, complex | None]:
+    """Trapezoid mean of series x phase, and for an even node count the
+    mean over the half grid (every other node on every axis)."""
+    f = series.reshape(phase.shape) * phase
     half = None
-    if quad_nodes % 2 == 0:
-        n = quad_nodes
-        keep = ((np.arange(n**3) // (n * n) % 2 == 0)
-                & (np.arange(n**3) // n % n % 2 == 0)
-                & (np.arange(n**3) % n % 2 == 0))
-        half = complex((series[keep] * phase[keep]).mean())
-    return value, half
+    if phase.shape[0] % 2 == 0:
+        half = complex(f[(slice(None, None, 2),) * f.ndim].mean())
+    return complex(f.mean()), half
 
 
 # --------------------------- coefficient assembly ----------------------------
@@ -528,8 +516,6 @@ def fw_formula(request: FWRequest, truncation: int = 4000) -> complex:
     raw lattice sum (what extract_fourier_coefficient measures) is
     fw_formula(request) / forms.completion_factor(...).value.
     """
-    from .core import iwasawa
-
     part = request.partition
     n = part.n
     if n not in (2, 3):

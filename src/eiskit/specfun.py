@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "PoleError",
     "gamma_complex",
-    "log_gamma",
     "zeta",
     "zeta_completed",
     "bessel_k",
@@ -73,31 +72,6 @@ def gamma_complex(z: complex) -> complex:
         * base ** (w + 0.5)
         * cmath.exp(-base)
         * _lanczos_series(w)
-    )
-
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z) up to an integer multiple of 2*pi*i.
-
-    Branch jumps are irrelevant to every consumer here: values are only ever
-    summed and exponentiated.
-    """
-    z = complex(z)
-    if _is_nonpositive_int(z):
-        raise PoleError(complex(round(z.real)), "Gamma")
-    if z.real < 0.5:
-        return (
-            cmath.log(math.pi)
-            - cmath.log(cmath.sin(math.pi * z))
-            - log_gamma(1.0 - z)
-        )
-    w = z - 1.0
-    base = w + _LANCZOS_G + 0.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (w + 0.5) * cmath.log(base)
-        - base
-        + cmath.log(_lanczos_series(w))
     )
 
 

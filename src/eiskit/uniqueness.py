@@ -130,17 +130,6 @@ class UniquenessVerdict:
     permutation: tuple[int, ...] | None = None
     witness: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        def enc(o):
-            if isinstance(o, Fraction):
-                return [o.numerator, o.denominator]
-            raise TypeError(repr(o))
-        payload = {"schema": 1, "accepted": self.accepted,
-                   "permutation": list(self.permutation)
-                   if self.permutation is not None else None,
-                   "witness": self.witness}
-        return json.dumps(payload, default=enc, sort_keys=True)
-
 
 def _weights(partition: Partition, weighted: bool) -> tuple[Fraction, ...]:
     if weighted:

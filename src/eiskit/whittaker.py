@@ -100,7 +100,8 @@ def whittaker_gl3(alpha, y1: float, y2: float, tol: float = 1e-10) -> complex:
     else:
         raise QuadratureError("whittaker_gl3 step halving stalled",
                               abs(val - prev) / max(abs(val), 1e-300))
-    scale = 8.0 * y1 * y2 * cmath.exp(0.5 * a2 * (math.log(y1) - math.log(y2)))
+    scale = (WHITTAKER_GL3_CONSTANT * y1 * y2
+             * cmath.exp(0.5 * a2 * (math.log(y1) - math.log(y2))))
     return scale * prev
 
 

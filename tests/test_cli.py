@@ -150,6 +150,12 @@ class TestOutputs:
         assert_usage_error(code, err)
         assert "height" in err
 
+    def test_eval_non_borel_partition_exits_2(self, capsys):
+        code, _, err = run(capsys, "eval", "--partition", "1,2",
+                           "--s", "1.5", "--height", "5")
+        assert_usage_error(code, err)
+        assert "Borel" in err
+
     def test_extract_quadrature_failure_exits_2(self, capsys):
         # 4 nodes cannot resolve e(5x): the node-doubling diagnostic fails
         code, _, err = run(capsys, "extract", "--partition", "1,1",

@@ -36,8 +36,8 @@ def _trivial_forms(n):
 class TestCosets:
     def test_gl2_canonical_unique(self):
         seen = set()
-        for cs, ds in _coprime_pairs(12):
-            for c, d in zip(cs.tolist(), ds.tolist()):
+        for rows in _coprime_pairs(12):
+            for c, d in rows.tolist():
                 # a unimodular lift: a d - b c = 1
                 a = pow(d, -1, c) if c else 1
                 mat = np.array([[a, (a * d - 1) // c if c else 0], [c, d]])
@@ -94,17 +94,28 @@ class TestCosets:
 class TestEval:
     def test_gl2_against_fourier_expansion(self):
         s1 = 1.5
-        y = 1.0
-        g = GroupElement.from_iwasawa(np.eye(2), (y,))
         s = SpectralPoint((s1, -s1), _borel(2))
-        val, tail = eval_eisenstein(2, g, s, 2000)
-        # coefficients are even in m, so the value at u = 0 is
-        # a_0 + 2 sum_{m >= 1} a_m
-        expansion = closed_form_fourier_gl2(0, s1, y)
-        for m in range(1, 8):
-            expansion += 2 * closed_form_fourier_gl2(m, s1, y)
-        assert val == pytest.approx(expansion, rel=1e-5)
-        assert abs(val - expansion) < tail + 1e-6
+        for y in (0.6, 1.0, 1.7):
+            g = GroupElement.from_iwasawa(np.eye(2), (y,))
+            val, tail = eval_eisenstein(2, g, s, 2000)
+            # coefficients are even in m, so the value at u = 0 is
+            # a_0 + 2 sum_{m >= 1} a_m
+            expansion = closed_form_fourier_gl2(0, s1, y)
+            for m in range(1, 8):
+                expansion += 2 * closed_form_fourier_gl2(m, s1, y)
+            assert val == pytest.approx(expansion, rel=1e-5), y
+            assert abs(val - expansion) <= tail, y
+
+    @pytest.mark.parametrize("n, s_vals, height", [
+        (2, (1.5, -1.5), 20), (3, (2.2, 0.1, -2.3), 8)])
+    def test_tail_is_outer_shell_mass(self, n, s_vals, height):
+        # one pass yields S(H) and the inner sum S(H // 2); the tail is
+        # their difference, for both ranks
+        g = GroupElement(np.diag([1.1] + [1.0] * (n - 2) + [1 / 1.1]))
+        s = SpectralPoint(s_vals, _borel(n))
+        val, tail = eval_eisenstein(n, g, s, height)
+        inner, _ = eval_eisenstein(n, g, s, height // 2)
+        assert tail == pytest.approx(abs(val - inner), rel=1e-12)
 
     def test_gl2_automorphy(self):
         # E(gamma g) = E(g) up to truncation error
@@ -193,6 +204,16 @@ class TestExtractionGL2:
                                               quad_nodes=64)
             closed = closed_form_fourier_gl2(m, 1.5, 1.0)
             assert val == pytest.approx(closed, rel=2e-4), m
+
+    def test_odd_node_count(self):
+        # no half grid to compare with; the extrapolated value stands alone
+        g = GroupElement.identity(2)
+        s = SpectralPoint((1.5, -1.5), _borel(2))
+        req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
+                        M=(1,), s=s, g=g)
+        val = extract_fourier_coefficient(2, req, height=200, quad_nodes=63)
+        assert val == pytest.approx(closed_form_fourier_gl2(1, 1.5, 1.0),
+                                    rel=1e-4)
 
     def test_off_lattice_point(self):
         # coefficient at x0 != 0 picks up the phase e(2 pi i m x0)

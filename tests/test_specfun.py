@@ -11,7 +11,6 @@ from eiskit.specfun import (
     bessel_k,
     bessel_k_batch,
     gamma_complex,
-    log_gamma,
     zeta,
     zeta_completed,
 )
@@ -29,11 +28,6 @@ class TestGamma:
     def test_pole(self):
         with pytest.raises(PoleError):
             gamma_complex(-3)
-
-    def test_log_gamma_large(self):
-        for z in [50 + 30j, 200.0, 5 - 40j]:
-            expect = complex(mp.loggamma(z))
-            assert log_gamma(z) == pytest.approx(expect, rel=1e-12)
 
 
 class TestZeta:

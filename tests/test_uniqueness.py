@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiskit.cli import dispatch
 from eiskit.core import Partition
 from eiskit.forms import FormSet, const_form, mock_maass_form
 from eiskit.uniqueness import (
@@ -207,10 +208,14 @@ class TestJSON:
         doc = json.loads(text)
         assert doc["A"][0][0] == [1, 3]
 
-    def test_verdict_json_schema(self):
-        verdict = decide_affine_symmetry(
-            BOREL3, BLOCKS3, AffineMap.permutation((1, 0, 2)))
-        doc = json.loads(verdict.to_json())
+    def test_verdict_json_schema(self, tmp_path, capsys):
+        map_file = tmp_path / "mu.json"
+        mu = AffineMap.permutation((1, 0, 2))
+        map_file.write_text(affine_map_to_json(mu))
+        code = dispatch(["uniqueness", "--partition", "1,1,1",
+                         "--map", str(map_file)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == 1
         assert doc["accepted"] is True
         assert doc["permutation"] == [1, 0, 2]
