@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -30,7 +31,8 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, langlands_parameter,
                    rho_borel, rho_parabolic, rho_parabolic_star, rho_phi)
-from .forms import FormSet, const_form, form_from_json, mock_maass_form
+from .forms import (DEFAULT_TRUNCATION, FormSet, const_form, form_from_json,
+                    mock_maass_form)
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
@@ -44,6 +46,13 @@ __all__ = ["main", "dispatch"]
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _fmt(x) -> str:
@@ -342,19 +351,22 @@ def _compositions(n: int):
 # -------------------------------- dispatch -----------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="eiskit", description=__doc__)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="eiskit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, forms=False, s=False, output=True):
+    def common(p, forms=None, s=None, output=True):
+        """forms, s: None omits the option, else whether it is required."""
         p.add_argument("--partition", required=True,
                        help="comma-separated composition, e.g. 1,1,1")
-        if forms:
-            p.add_argument("--forms",
+        if forms is not None:
+            p.add_argument("--forms", required=forms,
                            help="per-slot specs: mock:<seed>, const, or a "
                                 "JSON form-spec path (comma-separated)")
-        if s:
-            p.add_argument("--s", help="comma-separated complex s-values "
+        if s is not None:
+            p.add_argument("--s", required=s,
+                           help="comma-separated complex s-values "
                            "(leading r-1 allowed; last solved)")
         if output:
             p.add_argument("--output", help="report file path")
@@ -372,21 +384,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("divisor-sum", help="Eisenstein Hecke eigenvalue")
-    common(p, forms=True, s=True, output=False)
+    common(p, forms=False, s=True, output=False)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_divisor_sum)
 
     p = sub.add_parser("check-fe", help="functional-equation check")
-    common(p, forms=True, s=True)
+    common(p, forms=True, s=False)
     p.add_argument("--sigma", required=True,
                    help="1-indexed permutation, e.g. 2,1")
     p.add_argument("--mode", choices=["symbolic", "numeric"],
                    default="symbolic")
-    p.add_argument("--truncation", type=int, default=4000)
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.set_defaults(func=_cmd_check_fe)
 
     p = sub.add_parser("extract", help="Fourier-coefficient extraction")
-    common(p, forms=True, s=True)
+    common(p, forms=False, s=True)
     p.add_argument("--m", required=True, help="character indices, e.g. 1 or 1,1")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--nodes", type=int, default=None)
@@ -425,18 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code not in (0,) else 0
-    try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, QuadratureError, PoleError) as exc:
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 2
+    except (UsageError, ValueError, KeyError, OSError, QuadratureError,
+            PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

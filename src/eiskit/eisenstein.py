@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
                    langlands_parameter, rho_borel)
-from .forms import FormSet, adjoint_l_at_one
+from .forms import DEFAULT_TRUNCATION, FormSet, adjoint_l_at_one
 from .hecke import eis_hecke_eigenvalue
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
 
@@ -351,7 +351,7 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         chunks = ((v,) for v in _coprime_pairs(height))
     else:
         chunks = _chunks(_coset_rows_gl3(height), len(w_mats))
-    half = max(1, height // 2)
+    half = height // 2
     total = inner = 0.0
     for rows, terms in _lattice_terms(chunks, w_mats, _term_exponents(n, s)):
         heights = np.abs(np.concatenate(rows, axis=1)).max(axis=1)
@@ -505,7 +505,8 @@ def _quadrature(series: np.ndarray, phase: np.ndarray
 
 # --------------------------- coefficient assembly ----------------------------
 
-def fw_formula(request: FWRequest, truncation: int = 4000) -> complex:
+def fw_formula(request: FWRequest,
+               truncation: int = DEFAULT_TRUNCATION) -> complex:
     """M-th Fourier coefficient of the completed series E*, factored.
 
     prod_{n_k >= 2} L*(1, Ad phi_k)^{-1/2} x lambda_{P,Phi}(M, s)
@@ -553,7 +554,8 @@ def _round_c(z: complex, digits: int = 9) -> tuple[float, float]:
 def check_functional_equation(partition: Partition, forms: FormSet,
                               s: SpectralPoint, sigma, samples=None,
                               mode: str = "symbolic",
-                              truncation: int = 4000) -> FEReport:
+                              truncation: int = DEFAULT_TRUNCATION
+                              ) -> FEReport:
     """Check E*-coefficient covariance under a block permutation sigma.
 
     symbolic: exact multiset equality of the three factors of the coefficient

@@ -24,7 +24,6 @@ __all__ = [
     "FormSet",
     "TruncatedValue",
     "HeckeDataError",
-    "PoleRiskError",
     "const_form",
     "mock_maass_form",
     "hecke_extend",
@@ -36,7 +35,8 @@ __all__ = [
     "form_from_json",
 ]
 
-DEFAULT_PRIME_LIMIT = 4096  # covers the default Dirichlet truncation of 4000
+DEFAULT_TRUNCATION = 4000  # terms of a truncated Dirichlet sum by default
+DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
 
 
 class HeckeDataError(KeyError):
@@ -46,10 +46,6 @@ class HeckeDataError(KeyError):
         self.form_name = form_name
         self.prime = prime
         super().__init__(f"form {form_name!r} has no Hecke data at prime {prime}")
-
-
-class PoleRiskError(ArithmeticError):
-    """A completed L-factor was requested at (or too near) a pole."""
 
 
 class TruncatedValue(NamedTuple):
@@ -227,42 +223,67 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
-def _h_full(beta: tuple[complex, ...], k: int) -> complex:
-    """Complete homogeneous symmetric polynomial h_k(beta)."""
-    coeffs = [1.0 + 0.0j] + [0.0j] * k
-    for b in beta:
-        for j in range(1, k + 1):
-            coeffs[j] += b * coeffs[j - 1]
-    return coeffs[k]
+def _local_series(form: FormSpec, p: int, k: int) -> list[complex]:
+    """lambda(1), lambda(p), ..., lambda(p^k): the power series of 1/Q(x).
 
-
-def _prime_power_eigenvalue(form: FormSpec, p: int, k: int) -> complex:
-    if p in form.satake:
-        return _h_full(form.satake[p], k)
-    if p not in form.hecke:
+    Q(x) = prod (1 - beta x) over the stored Satake parameters at p; with
+    Hecke data only, Q(x) = 1 - lambda(p) x + x^2 in degree 2, while in
+    degree >= 3 lambda(p) fixes only Q's linear term, so only k <= 1 is
+    defined.  The constant form has the zeta factor Q(x) = 1 - x.
+    """
+    if form.is_constant:
+        q = [1.0, -1.0]
+    elif p in form.satake:
+        q = [1.0 + 0.0j]
+        for b in form.satake[p]:
+            q = [c - b * d for c, d in zip(q + [0j], [0j] + q)]
+    elif p not in form.hecke or (form.degree > 2 and k > 1):
         raise HeckeDataError(form.name, p)
-    if form.degree == 2:
-        # lambda(p^{j+1}) = lambda(p) lambda(p^j) - lambda(p^{j-1})
-        lam_p = form.hecke[p]
-        prev, cur = 1.0 + 0.0j, lam_p
-        for _ in range(k - 1):
-            prev, cur = cur, lam_p * cur - prev
-        return cur if k >= 1 else 1.0 + 0.0j
-    if k == 1:
-        return form.hecke[p]
-    raise HeckeDataError(form.name, p)
+    else:
+        q = [1.0, -form.hecke[p], 1.0][:3 if form.degree == 2 else 2]
+    out = [1.0 + 0.0j]
+    for j in range(1, k + 1):
+        out.append(-sum(q[i] * out[j - i]
+                        for i in range(1, min(j, len(q) - 1) + 1)))
+    return out
 
 
 def hecke_extend(form: FormSpec, m: int) -> complex:
     """Multiplicative extension of the stored prime eigenvalues to lambda(m)."""
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
-    if form.is_constant:
-        return 1.0 + 0.0j
     out = 1.0 + 0.0j
     for p, k in _factorize(m).items():
-        out *= _prime_power_eigenvalue(form, p, k)
+        out *= _local_series(form, p, k)[k]
     return out
+
+
+def _hecke_table(form: FormSpec, truncation: int) -> list[complex]:
+    """[0, lambda(1), ..., lambda(T)], T = truncation, by one prime sieve.
+
+    The pass for p sets lambda(m p^e) = lambda(m) lambda(p^e) for every m
+    prime to p.  Passes run over increasing p, so the last pass to write n
+    is that of its largest prime, and it reads lambda(m) after m's own last
+    pass: every entry ends up right.
+    """
+    if truncation < 1:
+        raise ValueError(f"need truncation >= 1, got {truncation}")
+    lam = [0j] * (truncation + 1)
+    lam[1] = 1.0 + 0.0j
+    for p in _primes_up_to(truncation):
+        k = 1
+        while p ** (k + 1) <= truncation:
+            k += 1
+        series = _local_series(form, p, k)
+        for e in range(1, k + 1):
+            pe = p**e
+            for m in range(1, truncation // pe + 1):
+                if m % p:
+                    lam[m * pe] = lam[m] * series[e]
+    return lam
+
+
+def _dirichlet_sum(coeffs: list[complex], s: complex) -> complex:
+    """sum_{1 <= n < len(coeffs)} coeffs[n] n^{-s}."""
+    return sum(coeffs[n] * n ** (-s) for n in range(1, len(coeffs)))
 
 
 # --------------------------- completed L-factors ----------------------------
@@ -304,9 +325,7 @@ def lfunction_completed(form: FormSpec, s: complex, truncation: int
         * gamma_complex(0.5 * (s + a1 + eps))
         * gamma_complex(0.5 * (s + a2 + eps))
     )
-    acc = 0.0 + 0.0j
-    for n in range(1, truncation + 1):
-        acc += hecke_extend(form, n) * n ** (-s)
+    acc = _dirichlet_sum(_hecke_table(form, truncation), s)
     bound = abs(pref) * 2.0 * _divisor_tail(truncation, s.real, power=1)
     return TruncatedValue(pref * acc, bound)
 
@@ -320,7 +339,7 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
     s = complex(s)
     if fj.is_constant and fl.is_constant:
         if abs(s) < 1e-9 or abs(s - 1.0) < 1e-9:
-            raise PoleRiskError(f"zeta* pole at argument {s}")
+            raise PoleError(s, "zeta*")
         return TruncatedValue(zeta_completed(s), 1e-12)
     if fj.is_constant:
         return lfunction_completed(fl, s, truncation)
@@ -337,9 +356,8 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
         for al in fl.alpha:
             pref *= gamma_complex(0.5 * (s + aj + al))
     zfactor = zeta(2.0 * s)
-    acc = 0.0 + 0.0j
-    for n in range(1, truncation + 1):
-        acc += hecke_extend(fj, n) * hecke_extend(fl, n) * n ** (-s)
+    acc = _dirichlet_sum([a * b for a, b in zip(_hecke_table(fj, truncation),
+                                                _hecke_table(fl, truncation))], s)
     bound = abs(pref * zfactor) * 2.0 * _divisor_tail(truncation, s.real, power=2)
     return TruncatedValue(pref * zfactor * acc, bound)
 
@@ -358,9 +376,7 @@ def completion_factor(partition: Partition, forms: FormSet, s: SpectralPoint,
                 (forms.forms[j].is_constant and forms.forms[l].is_constant)
                 or forms.forms[j] == forms.forms[l]
             ):
-                raise PoleRiskError(
-                    f"factor ({j},{l}) degenerates to argument {arg}"
-                )
+                raise PoleError(arg, f"L*(s, phi_{j} x phi_{l})")
             v, b = rankin_selberg_completed(
                 forms.forms[j], forms.forms[l], arg, truncation
             )
@@ -382,10 +398,8 @@ def adjoint_l_at_one(form: FormSpec, truncation: int) -> TruncatedValue:
         raise ValueError(f"degree-2 form required, got degree {form.degree}")
     a1, a2 = form.alpha
     pref = gamma_complex(0.5 + a1) * gamma_complex(0.5 + a2)
-    acc = 0.0 + 0.0j
-    for n in range(1, truncation + 1):
-        lam = hecke_extend(form, n)
-        acc += (lam * lam.conjugate()) / n
+    acc = _dirichlet_sum([lam * lam.conjugate()
+                          for lam in _hecke_table(form, truncation)], 1)
     drift = 2.0 * abs(acc) * math.log(2.0) / math.log(max(truncation, 3))
     return TruncatedValue(pref * acc, abs(pref) * drift)
 

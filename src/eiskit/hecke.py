@@ -1,8 +1,8 @@
 """Divisor sums and Hecke eigenvalues of Eisenstein series.
 
-Ordered factorizations c_1 ... c_r = m are enumerated per prime as weak
-compositions of the exponents (never a global divisor scan), so m up to 1e6
-with r up to 6 stays fast.
+Both are multiplicative in m, so they are computed one prime power p^a || m
+at a time (never a global divisor scan), and m up to 1e6 with r up to 6
+stays fast.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import Partition, SpectralPoint
-from .forms import FormSet, _factorize, hecke_extend
+from .forms import FormSet, _factorize, _local_series
 
 __all__ = [
     "divisor_sigma",
@@ -22,51 +22,32 @@ COVARIANCE_TOL = 1e-12
 
 
 def divisor_sigma(s: complex, m: int) -> complex:
-    """sigma_s(m) = sum over positive divisors d of m of d^s."""
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
+    """sigma_s(m) = sum over positive divisors d of m of d^s
+    = prod over p^k || m of (1 + p^s + ... + p^{ks})."""
     s = complex(s)
-    divisors = [1]
+    out = 1.0 + 0.0j
     for p, k in _factorize(m).items():
-        divisors = [d * p**e for d in divisors for e in range(k + 1)]
-    return sum(complex(d) ** s for d in divisors)
-
-
-def _weak_compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+        out *= sum(complex(p) ** (e * s) for e in range(k + 1))
+    return out
 
 
 def eis_hecke_eigenvalue(partition: Partition, forms: FormSet,
                          s: SpectralPoint, m: int) -> complex:
-    """sum over c_1 ... c_r = m of prod_j lambda_{phi_j}(c_j) c_j^{s_j}."""
+    """sum over c_1 ... c_r = m of prod_j lambda_{phi_j}(c_j) c_j^{s_j}.
+
+    At p^a || m this is the x^a coefficient of the product over j of the
+    shifted local series sum_e lambda_j(p^e) p^{e s_j} x^e.
+    """
     forms.check_against(partition)
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
-    r = partition.r
     total = 1.0 + 0.0j
-    # the sum over ordered factorizations is multiplicative in m, so it
-    # factors into one compositions-sum per prime
     for p, a in _factorize(m).items():
-        weight = [
-            [
-                hecke_extend(forms.forms[j], p**e) * complex(p) ** (e * s.values[j])
-                for e in range(a + 1)
-            ]
-            for j in range(r)
-        ]
-        local = 0.0 + 0.0j
-        for exps in _weak_compositions(a, r):
-            term = 1.0 + 0.0j
-            for j in range(r):
-                term *= weight[j][exps[j]]
-            local += term
-        total *= local
+        local = [1.0 + 0.0j] + [0j] * a
+        for form, sj in zip(forms.forms, s.values):
+            shifted = [lam * complex(p) ** (e * sj)
+                       for e, lam in enumerate(_local_series(form, p, a))]
+            local = [sum(local[i] * shifted[e - i] for i in range(e + 1))
+                     for e in range(a + 1)]
+        total *= local[a]
     return total
 
 

@@ -257,6 +257,8 @@ def random_falsification(partition: Partition, blocks: BlockStructure,
     sum are evaluated at 3 random (s, p) with mock lambda-data (all distinct
     and non zero), confirming disagreement beyond 1e-6.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)
     r = partition.r
     w = _weights(partition, weighted)

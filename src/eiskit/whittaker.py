@@ -39,10 +39,15 @@ class QuadratureError(RuntimeError):
 
 
 # Normalization constants tying the K-Bessel evaluators to the unipotent
-# integral.  Both were measured once as the (empirically constant) ratio
-# jacquet_oracle / bessel-form over a grid of parameters and y, then frozen:
-#   n=2: ratio 2.0            (constant to ~1e-10 over the test grid)
-#   n=3: ratio 8.0 = 32*pi^2 / (4*pi^2), constant to ~1e-6 over the test grid
+# integral (jacquet_oracle).
+#   n=2: for alpha = (nu, -nu) and s = 1/2 + nu the integral is
+#        pi^{-s} Gamma(s) int (y / (y^2 + u^2))^s e(-u) du, and
+#        int (y^2 + u^2)^{-s} e(-u) du = 2 pi^s y^{1/2-s} K_{s-1/2}(2 pi y) / Gamma(s)
+#        (the identity `_jacquet_gl3` uses for its u2 integral), so
+#        W = 2 sqrt(y) K_nu(2 pi y).
+#   n=3: measured once as the (empirically constant) ratio jacquet_oracle /
+#        bessel-form over a grid of parameters and y, then frozen:
+#        ratio 8.0 = 32*pi^2 / (4*pi^2), constant to ~1e-6 over the test grid
 WHITTAKER_GL2_CONSTANT = 2.0
 WHITTAKER_GL3_CONSTANT = 8.0
 

@@ -216,3 +216,47 @@ class TestSelftest:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+
+class TestUsageErrors:
+    """Every bad command line exits 2 with one stderr line, no traceback."""
+
+    CASES = {
+        "rho-no-partition": (["rho"], "--partition"),
+        "eval-height-not-int": (["eval", "--partition", "1,1", "--s", "1.5",
+                                 "--height", "x"], "--height"),
+        "unknown-command": (["bogus"], "bogus"),
+        "no-command": ([], "command"),
+        "params-no-s": (["params", "--partition", "1,1", "--forms",
+                         "const,const"], "--s"),
+        "divisor-sum-no-s": (["divisor-sum", "--partition", "1,1", "--m",
+                              "4"], "--s"),
+        "extract-no-s": (["extract", "--partition", "1,1", "--m", "1",
+                          "--height", "5"], "--s"),
+        "eval-no-s": (["eval", "--partition", "1,1", "--height", "5"], "--s"),
+        "params-no-forms": (["params", "--partition", "1,1", "--s", "1.5"],
+                            "--forms"),
+        "check-fe-no-forms": (["check-fe", "--partition", "1,1", "--sigma",
+                               "2,1"], "--forms"),
+        "check-fe-zero-truncation": (["check-fe", "--partition", "2",
+                                      "--forms", "mock:1", "--sigma", "1",
+                                      "--mode", "numeric", "--truncation",
+                                      "0"], "truncation"),
+        "falsify-zero-trials": (["falsify", "--partition", "1,1,1",
+                                 "--trials", "0"], "trials"),
+        "falsify-negative-trials": (["falsify", "--partition", "1,1,1",
+                                     "--trials", "-1"], "trials"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_one_line(self, capsys, case):
+        argv, needle = self.CASES[case]
+        code, out, err = run(capsys, *argv)
+        assert_usage_error(code, err)
+        assert needle in err
+        assert out == ""
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: eiskit")

@@ -117,6 +117,18 @@ class TestEval:
         inner, _ = eval_eisenstein(n, g, s, height // 2)
         assert tail == pytest.approx(abs(val - inner), rel=1e-12)
 
+    @pytest.mark.parametrize("n, s_vals, far", [
+        (2, (1.5, -1.5), 100), (3, (2.2, 0.1, -2.3), 6)])
+    def test_tail_at_height_one_is_whole_sum(self, n, s_vals, far):
+        # the inner sum S(1 // 2) = S(0) is empty, so the tail is |S(1)|
+        # and covers the distance to a far larger height
+        g = GroupElement(np.diag([1.1] + [1.0] * (n - 2) + [1 / 1.1]))
+        s = SpectralPoint(s_vals, _borel(n))
+        val, tail = eval_eisenstein(n, g, s, 1)
+        assert tail == abs(val) > 0
+        far_val, _ = eval_eisenstein(n, g, s, far)
+        assert abs(far_val - val) <= tail
+
     def test_gl2_automorphy(self):
         # E(gamma g) = E(g) up to truncation error
         s = SpectralPoint((1.4, -1.4), _borel(2))

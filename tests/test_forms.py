@@ -7,7 +7,9 @@ import mpmath as mp
 import pytest
 
 from eiskit.forms import (
+    DEFAULT_TRUNCATION,
     FormSet,
+    FormSpec,
     HeckeDataError,
     adjoint_l_at_one,
     completion_factor,
@@ -17,10 +19,11 @@ from eiskit.forms import (
     hecke_extend,
     lfunction_completed,
     mock_maass_form,
+    _hecke_table,
     rankin_selberg_completed,
 )
 from eiskit.core import Partition, SpectralPoint
-from eiskit.specfun import zeta_completed
+from eiskit.specfun import PoleError, zeta_completed
 
 mp.mp.dps = 25
 
@@ -62,6 +65,12 @@ class TestMockForms:
         assert hecke_extend(g3, 4) == hecke_extend(f3, 4)
 
 
+def _hecke_only(form):
+    """The same form without its Satake parameters."""
+    return FormSpec(form.name + ":hecke", form.degree, form.parity,
+                    form.alpha, dict(form.hecke))
+
+
 class TestHeckeExtend:
     def test_multiplicativity(self):
         f = mock_maass_form(2, 1)
@@ -93,6 +102,28 @@ class TestHeckeExtend:
     def test_const_form_is_one(self):
         c = const_form()
         assert hecke_extend(c, 840) == 1
+
+    def test_degree3_hecke_only_has_no_prime_squares(self):
+        f = mock_maass_form(3, 2)
+        g = _hecke_only(f)
+        assert hecke_extend(g, 30) == pytest.approx(hecke_extend(f, 30),
+                                                    rel=1e-12)
+        with pytest.raises(HeckeDataError):
+            hecke_extend(g, 4)
+
+
+@pytest.mark.parametrize("form", [
+    mock_maass_form(2, 1), mock_maass_form(2, 7), mock_maass_form(3, 2),
+    _hecke_only(mock_maass_form(2, 4))], ids=["mock2:1", "mock2:7", "mock3:2",
+                                             "hecke-only"])
+def test_hecke_table_matches_hecke_extend(form):
+    # the sieve behind every truncated Dirichlet sum against lambda(n)
+    # built prime by prime
+    table = _hecke_table(form, DEFAULT_TRUNCATION)
+    assert len(table) == DEFAULT_TRUNCATION + 1
+    for n in range(1, DEFAULT_TRUNCATION + 1):
+        assert table[n] == pytest.approx(hecke_extend(form, n), rel=1e-12,
+                                         abs=1e-12), n
 
 
 class TestCompletedL:
@@ -128,3 +159,13 @@ class TestCompletedL:
         forms = FormSet((const_form(), const_form()))
         val = completion_factor(p, forms, s, truncation=4000)
         assert val.value == pytest.approx(zeta_completed(4.0), rel=1e-8)
+
+    def test_poles_raise_pole_error(self):
+        with pytest.raises(PoleError):
+            rankin_selberg_completed(const_form(), const_form(), 1.0,
+                                     truncation=100)
+        p = Partition((2, 2))
+        f = mock_maass_form(2, 1)
+        with pytest.raises(PoleError):
+            completion_factor(p, FormSet((f, f)), SpectralPoint((0, 0), p),
+                              truncation=100)

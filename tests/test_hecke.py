@@ -32,6 +32,14 @@ class TestDivisorSigma:
         assert divisor_sigma(s, 35) == pytest.approx(
             divisor_sigma(s, 5) * divisor_sigma(s, 7), rel=1e-12)
 
+    def test_against_divisor_list(self):
+        for s in (1, -0.5, 0.7 + 0.3j, 2.4 - 1j):
+            for m in (1, 2, 12, 97, 360, 1024, 5040):
+                direct = sum(complex(d) ** complex(s)
+                             for d in range(1, m + 1) if m % d == 0)
+                assert divisor_sigma(s, m) == pytest.approx(
+                    direct, rel=1e-12), (s, m)
+
 
 class TestEigenvalue:
     def test_m_one_is_one(self):
@@ -63,6 +71,26 @@ class TestEigenvalue:
             c2 = m // c1
             expect += (hecke_extend(phi, c1) * c1 ** s.values[0]
                        * c2 ** s.values[1])
+        assert eis_hecke_eigenvalue(p, forms, s, m) == pytest.approx(
+            expect, rel=1e-12)
+
+    def test_direct_factorization_sum_three_factors(self):
+        # brute force over ordered factorizations c1 c2 c3 = m for P(3,2,1):
+        # prime powers up to p^3 of a Satake-parameter form
+        p = Partition((3, 2, 1))
+        phi3, phi2 = mock_maass_form(3, 2), mock_maass_form(2, 5)
+        forms = FormSet((phi3, phi2, const_form()))
+        s = SpectralPoint.from_leading(p, [0.3 + 0.1j, -0.2j])
+        m = 360
+        expect = 0j
+        for c1 in range(1, m + 1):
+            for c2 in range(1, m // c1 + 1):
+                if m % (c1 * c2):
+                    continue
+                c3 = m // (c1 * c2)
+                expect += (hecke_extend(phi3, c1) * c1 ** s.values[0]
+                           * hecke_extend(phi2, c2) * c2 ** s.values[1]
+                           * c3 ** s.values[2])
         assert eis_hecke_eigenvalue(p, forms, s, m) == pytest.approx(
             expect, rel=1e-12)
 
