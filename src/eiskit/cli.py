@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, langlands_parameter,
                    rho_borel, rho_parabolic, rho_parabolic_star, rho_phi)
-from .forms import (DEFAULT_TRUNCATION, FormSet, const_form, form_from_json,
-                    mock_maass_form)
+from .forms import (DEFAULT_PRIME_LIMIT, DEFAULT_TRUNCATION, FormSet,
+                    const_form, form_from_json, mock_maass_form)
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
@@ -394,7 +394,11 @@ def _parser() -> argparse.ArgumentParser:
                    help="1-indexed permutation, e.g. 2,1")
     p.add_argument("--mode", choices=["symbolic", "numeric"],
                    default="symbolic")
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+                   help="length of the truncated L-series in numeric mode; "
+                        "mock: forms carry Hecke data only up to "
+                        f"{DEFAULT_PRIME_LIMIT} (DEFAULT_PRIME_LIMIT), so a "
+                        "longer series exits 2")
     p.set_defaults(func=_cmd_check_fe)
 
     p = sub.add_parser("extract", help="Fourier-coefficient extraction")

@@ -143,14 +143,15 @@ def _term_exponents(n: int, s: SpectralPoint) -> tuple:
     return tuple(exps)
 
 
-def _canonical_primitive(x: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `x` that are primitive with a positive lead entry."""
-    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
-    return (np.gcd.reduce(x, axis=1) == 1) & (lead > 0)
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[i] - 1 for each i in turn, concatenated."""
+    ends = np.cumsum(counts, dtype=counts.dtype)
+    return (np.arange(ends[-1] if ends.size else 0, dtype=counts.dtype)
+            - np.repeat(ends - counts, counts))
 
 
-# (v, grid point) pairs per block: bounds the enumerator's temporaries
-_COSET_BLOCK = 1 << 16
+# bottom rows v per enumeration block: bounds the enumerator's temporaries
+_V_BLOCK = 1024
 
 
 def _coset_rows_gl3(height: int, height_a: int | None = None
@@ -160,35 +161,83 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
     Every sign-canonical primitive v with |v| <= `height` (sup-norm), paired
     with every sign-canonical primitive a with a . v = 0 and |a| <= `height_a`
     (default `height`).  The lattice sum only needs these two rows of each
-    representative, not its unimodular lift.  For a block of v sharing the
-    coordinate k where |v| is largest, a . v = 0 is solved for a_k over the
-    (2 height_a + 1)^2 grid of the other two coordinates of a.
+    representative, not its unimodular lift.
+
+    Let c = |v_k| be the largest entry of v and i < j the other indices.  In
+    the coordinates (i, j, k), v-perp in Z^3 has the Hermite basis
+    A1 = (g, t, *), A2 = (0, m, *) with g = gcd(v_j, c), m = c / g and
+    t = -v_i (v_j / g)^-1 mod m, the k entries fixed by a . v = 0.  Then
+    a = x A1 + y A2 is primitive exactly when gcd(x, y) = 1, and the
+    half-plane x > 0, or x = 0 < y, holds one a of each +- pair.  For each
+    (v, x) the slabs |a_j|, |a_k| <= height_a bound y to an interval, so no
+    candidate is rejected for its size and the work grows with the rows
+    returned.  Intermediates stay within a few times height * height_a, so
+    int32 serves until the rows are returned as int64.
     """
     if height_a is None:
         height_a = height
-    span = np.arange(-height, height + 1, dtype=np.int64)
+    ha = height_a
+    # |x| <= ha and |y| <= 2 ha index the gcd table as well as |v| <= height
+    width = max(height, 2 * ha) + 1
+    gcd = np.gcd.outer(*[np.arange(width, dtype=np.int32)] * 2)
+    coprime = (gcd[:ha + 1] == 1).ravel()
+    inv = np.zeros((height + 1, height + 1), np.int32)  # r^-1 mod m
+    for m in range(2, height + 1):
+        for r in range(1, m):
+            if gcd[r, m] == 1:
+                inv[m, r] = pow(r, -1, m)
+    span = np.arange(-height, height + 1, dtype=np.int32)
     v_all = np.stack(np.meshgrid(span, span, span, indexing="ij"),
                      axis=-1).reshape(-1, 3)
-    v_all = v_all[_canonical_primitive(v_all)]
+    av = np.abs(v_all)
+    lead = np.where(v_all[:, 0] != 0, v_all[:, 0],
+                    np.where(v_all[:, 1] != 0, v_all[:, 1], v_all[:, 2]))
+    v_all = v_all[(gcd[gcd[av[:, 0], av[:, 1]], av[:, 2]] == 1) & (lead > 0)]
     pivot = np.abs(v_all).argmax(axis=1)
-    span = np.arange(-height_a, height_a + 1, dtype=np.int64)
-    p, q = (x.ravel() for x in np.meshgrid(span, span, indexing="ij"))
-    block = max(1, _COSET_BLOCK // p.size)
     vs, avs = [np.empty((0, 3), np.int64)], [np.empty((0, 3), np.int64)]
     for k in range(3):
         i, j = (c for c in range(3) if c != k)
         v_k = v_all[pivot == k]
-        for lo in range(0, len(v_k), block):
-            v = v_k[lo:lo + block]
-            a_k, rem = np.divmod(-(v[:, i, None] * p + v[:, j, None] * q),
-                                 v[:, k, None])
-            rows, cols = np.nonzero((rem == 0) & (np.abs(a_k) <= height_a))
-            a = np.empty((rows.size, 3), np.int64)
-            a[:, i], a[:, j], a[:, k] = p[cols], q[cols], a_k[rows, cols]
-            keep = _canonical_primitive(a)
-            vs.append(v[rows[keep]])
-            avs.append(a[keep])
-    return np.concatenate(vs), np.concatenate(avs)
+        for lo in range(0, len(v_k), _V_BLOCK):
+            v = v_k[lo:lo + _V_BLOCK]
+            vi, vj, vk = v[:, i], v[:, j], v[:, k]
+            c = np.abs(vk)
+            g = gcd[np.abs(vj), c]
+            m = c // g
+            t = (-vi * inv[m, (vj // g) % m]) % m
+            a1k = -(vi * g + vj * t) // vk
+            a2k = -(vj // g) * np.sign(vk)
+            # slab |a_k| <= ha as |x e + y b| <= ha with b > 0; at v_j = 0
+            # (a2k = 0) it follows from |a_i| <= ha, as |a_k| = x |v_i| <= x c
+            b = np.where(a2k == 0, 1, np.abs(a2k))
+            e = np.where(a2k == 0, 0, np.sign(a2k) * a1k)
+            nx = ha // g + 1
+            row = np.repeat(np.arange(len(v), dtype=np.int32), nx)
+            x = _ramp(nx)
+            xt, xe = x * t[row], x * e[row]
+            mr, br = m[row], b[row]
+            y_lo = -np.minimum((ha + xt) // mr, (ha + xe) // br)
+            y_hi = np.minimum((ha - xt) // mr, (ha - xe) // br)
+            first = np.cumsum(nx) - nx  # the x = 0 pair of each v
+            y_lo[first] = np.maximum(y_lo[first], 1)
+            ny = np.maximum(y_hi - y_lo + 1, 0)
+            pair = np.repeat(np.arange(row.size, dtype=np.int32), ny)
+            y = _ramp(ny) + y_lo[pair]
+            keep = coprime[x[pair] * width + np.abs(y)]
+            pair, y = pair[keep], y[keep]
+            r, xp = row[pair], x[pair]
+            a = np.empty((pair.size, 3), np.int32)
+            a[:, i] = xp * g[r]
+            a[:, j] = xt[pair] + y * m[r]
+            a[:, k] = xp * a1k[r] + y * a2k[r]
+            # a_i >= 0, and a_j > 0 where a_i = 0: a lead entry below zero
+            # can only be a_k
+            flip = (a[:, k] < 0) & ~a[:, :k].any(axis=1)
+            np.negative(a, out=a, where=flip[:, None])
+            vs.append(v[r])
+            avs.append(a)
+    return (np.concatenate(vs, dtype=np.int64),
+            np.concatenate(avs, dtype=np.int64))
 
 
 def _smooth_window(x: np.ndarray, lower: float = 0.5) -> np.ndarray:
@@ -427,13 +476,16 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     w, phase = _unipotent_grid(n, quad_nodes, request.g.entries.astype(float),
                                request.M)
     if n == 2:
-        # the height cutoff biases each coefficient by ~ C * H^(1-2 Re s1);
-        # a two-height extrapolation with that exact exponent cancels it
+        # the height cutoff biases each coefficient by ~ C * H^(1-2 s1), so
+        # S(H // 2) carries about 2^(2 s1 - 1) times the bias of S(H); a
+        # two-height extrapolation with that ratio, complex for complex s1,
+        # cancels it
         series, inner = _shell_sums(2, w, request.s, height)
         value, half = _quadrature(series, phase)
         if height >= 8:
             v_lo, _ = _quadrature(inner, phase)
-            r = 2.0 ** (2.0 * request.s.values[0].real - 1.0)
+            p = 2.0 * request.s.values[0] - 1.0
+            r = 2.0 ** (p.real if p.imag == 0 else p)
             value = (r * value - v_lo) / (r - 1.0)
             if half is not None:
                 half = (r * half - v_lo) / (r - 1.0)

@@ -47,6 +47,10 @@ class HeckeDataError(KeyError):
         self.prime = prime
         super().__init__(f"form {form_name!r} has no Hecke data at prime {prime}")
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message
+        return self.args[0]
+
 
 class TruncatedValue(NamedTuple):
     value: complex

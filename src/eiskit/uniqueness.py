@@ -204,17 +204,22 @@ def enumerate_permutation_symmetries(partition: Partition, forms: FormSet
                                      ) -> list[tuple[int, ...]]:
     """All sigma in S_r with sigma-permuted parts and forms equal.
 
-    Equals the direct product of the symmetric groups of the equal-(part,
-    form) blocks.
+    Built as the direct product of the symmetric groups of the equal-(part,
+    form) blocks, in lexicographic order.
     """
     forms.check_against(partition)
-    r = partition.r
-    key = [(partition.parts[i], forms.forms[i]) for i in range(r)]
+    blocks: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(partition.parts, forms.forms)):
+        blocks.setdefault(key, []).append(i)
     out = []
-    for sigma in itertools.permutations(range(r)):
-        if all(key[sigma[i]] == key[i] for i in range(r)):
-            out.append(sigma)
-    return out
+    for images in itertools.product(
+            *(itertools.permutations(idx) for idx in blocks.values())):
+        sigma = [0] * partition.r
+        for idx, image in zip(blocks.values(), images):
+            for i, j in zip(idx, image):
+                sigma[i] = j
+        out.append(tuple(sigma))
+    return sorted(out)
 
 
 @dataclass(frozen=True)

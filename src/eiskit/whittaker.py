@@ -84,30 +84,34 @@ def whittaker_gl3(alpha, y1: float, y2: float, tol: float = 1e-10) -> complex:
         raise DomainError("y coordinates must be positive")
     nu = 0.5 * (a1 - a3)
     # substitution x = e^t: double-exponential decay at both ends, so the
-    # trapezoid rule converges geometrically under step halving
+    # trapezoid rule converges geometrically under step halving.  The
+    # integrand peaks near e^{-2 pi (y1 + y2)} or below (sqrt(1+x^2) (y1/x
+    # + y2) >= y1 + y2), so the cutoffs sit e^{-50} below that, not below 1:
+    # truncated ends that are not negligible leave an h^2 error
     growth = 1.5 * abs(a2.real) + abs(nu.real)
+    depth = 50.0 + 2.0 * math.pi * (y1 + y2)
     t_hi = 1.0
-    while 2.0 * math.pi * y2 * math.exp(t_hi) - growth * t_hi < 50.0:
+    while 2.0 * math.pi * y2 * math.exp(t_hi) - growth * t_hi < depth:
         t_hi += 0.5
     t_lo = -1.0
-    while 2.0 * math.pi * y1 * math.exp(-t_lo) - growth * (-t_lo) < 50.0:
+    while 2.0 * math.pi * y1 * math.exp(-t_lo) - growth * (-t_lo) < depth:
         t_lo -= 0.5
     h = 0.25
     prev = None
     for _ in range(6):
         t = np.arange(t_lo, t_hi + 0.5 * h, h)
         val = h * _vt_integrand(nu, a2, y1, y2, t).sum()
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            prev = val
-            break
+        if prev is not None:
+            diff = abs(val - prev) / max(abs(val), 1e-300)
+            if diff <= tol:
+                break
         prev = val
         h *= 0.5
     else:
-        raise QuadratureError("whittaker_gl3 step halving stalled",
-                              abs(val - prev) / max(abs(val), 1e-300))
+        raise QuadratureError("whittaker_gl3 step halving stalled", diff)
     scale = (WHITTAKER_GL3_CONSTANT * y1 * y2
              * cmath.exp(0.5 * a2 * (math.log(y1) - math.log(y2))))
-    return scale * prev
+    return scale * val
 
 
 # ------------------------- unipotent-integral oracle -------------------------

@@ -104,6 +104,17 @@ class TestCheckFE:
         assert_usage_error(code, err)
         assert "pole" in err
 
+    def test_truncation_beyond_mock_data_exits_2(self, capsys):
+        # mock: forms carry Hecke data up to DEFAULT_PRIME_LIMIT = 4096; the
+        # error is one unquoted line (HeckeDataError is a KeyError, whose
+        # __str__ quotes)
+        code, _, err = run(capsys, "check-fe", "--partition", "2",
+                           "--forms", "mock:1", "--sigma", "1",
+                           "--mode", "numeric", "--truncation", "5000")
+        assert_usage_error(code, err)
+        assert err.strip() == (
+            "error: form 'mock2:1' has no Hecke data at prime 4099")
+
     def test_bad_sigma_exits_2(self, capsys):
         code, _, err = run(capsys, "check-fe", "--partition", "1,1",
                            "--forms", "const,const", "--s", "1.5,-1.5",

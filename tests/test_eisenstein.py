@@ -80,7 +80,8 @@ class TestCosets:
                              if math.gcd(*x) == 1
                              and next(c for c in x if c) > 0])
 
-        for hv, ha in [(3, 3), (4, 7), (7, 4)]:
+        for hv, ha in [(1, 1), (2, 9), (9, 2), (3, 3), (6, 6), (4, 7),
+                       (7, 4)]:
             vbox, abox = box(hv), box(ha)
             iv, ia = np.nonzero(vbox @ abox.T == 0)
             expect = {(tuple(v), tuple(a))
@@ -89,6 +90,16 @@ class TestCosets:
             got = list(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
             assert len(got) == len(set(got))
             assert set(got) == expect
+
+    @pytest.mark.parametrize("hv, ha, count", [
+        (12, 12, 147252), (8, 13, 78276), (13, 8, 78276)])
+    def test_coset_rows_gl3_counts(self, hv, ha, count):
+        # (8, 13) and (13, 8) agree by the v <-> a symmetry of the pairs
+        vs, avs = _coset_rows_gl3(hv, ha)
+        assert len(vs) == len(avs) == count
+        assert len(np.unique(np.concatenate((vs, avs), axis=1),
+                             axis=0)) == count
+        assert not (vs * avs).sum(axis=1).any()
 
 
 class TestEval:
@@ -238,6 +249,20 @@ class TestExtractionGL2:
         closed = (closed_form_fourier_gl2(1, 1.5, y)
                   * cmath.exp(2j * math.pi * x0))
         assert val == pytest.approx(closed, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_complex_s_extrapolation(self, m):
+        # the truncation bias goes as H^(1-2 s1): only the complex ratio
+        # 2^(2 s1 - 1) cancels it (the real ratio 2^(2 Re s1 - 1) leaves
+        # 1.7e-4 at m = 1 and 4.0e-3 at m = 2, worse than no extrapolation)
+        s1, y = 1.1 + 0.5j, 0.8
+        g = GroupElement.from_iwasawa(np.eye(2), (y,))
+        s = SpectralPoint((s1, -s1), _borel(2))
+        req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
+                        M=(m,), s=s, g=g)
+        val = extract_fourier_coefficient(2, req, height=500, quad_nodes=64)
+        assert val == pytest.approx(closed_form_fourier_gl2(m, s1, y),
+                                    rel=1e-5)
 
 
 class TestFWFormula:

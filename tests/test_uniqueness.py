@@ -180,6 +180,16 @@ class TestEnumeration:
         out = enumerate_permutation_symmetries(part, forms)
         assert sorted(out) == [(0, 1, 2), (2, 1, 0)]
 
+    def test_r6_mixed_forms_against_all_permutations(self):
+        # the defining filter over all 6! permutations, same list and order
+        part = Partition((1,) * 6)
+        names = ("a", "b", "a", "c", "b", "a")
+        forms = FormSet(tuple(const_form(nm) for nm in names))
+        expect = [sigma for sigma in itertools.permutations(range(6))
+                  if all(names[sigma[i]] == names[i] for i in range(6))]
+        assert len(expect) == 12  # 3! 2! 1!
+        assert enumerate_permutation_symmetries(part, forms) == expect
+
 
 class TestFalsification:
     def test_all_rejected(self):

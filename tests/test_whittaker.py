@@ -6,8 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from eiskit import whittaker
 from eiskit.whittaker import (
     DomainError,
+    QuadratureError,
     jacquet_oracle,
     whittaker_gl2,
     whittaker_gl3,
@@ -121,3 +123,40 @@ class TestGL3MellinCrossCheck:
         integral = mp.quad(integrand, [-6, 0, 6])
         expect = 8.0 * y1 * y2 * (y1 / y2) ** (0.5 * a2) * float(integral)
         assert whittaker_gl3(alpha, y1, y2) == pytest.approx(expect, rel=1e-9)
+
+
+class TestGL3DeepCusp:
+    @staticmethod
+    def _mpmath_value(alpha, y1, y2):
+        nu = 0.5 * (alpha[0] - alpha[2])
+        a2 = alpha[1]
+
+        def integrand(t):
+            x = mp.e**t
+            root = mp.sqrt(1 + x * x)
+            return (mp.besselk(nu, 2 * mp.pi * y1 * root / x)
+                    * mp.besselk(nu, 2 * mp.pi * y2 * root)
+                    * mp.e**(-1.5 * a2 * t))
+
+        integral = mp.quad(integrand, [-6, -1, 0, 1, 6])
+        return 8.0 * y1 * y2 * (y1 / y2) ** (0.5 * a2) * float(integral)
+
+    @pytest.mark.parametrize("y1, y2", [(3.0, 4.95), (4.95, 3.0),
+                                        (3.05, 4.95)])
+    def test_small_value_converges(self, y1, y2):
+        # the value is about e^-70; integration cutoffs placed below an
+        # absolute e^-50 truncated non-negligible ends and stalled the
+        # step halving here
+        alpha = (0.3, 0.1, -0.4)
+        expect = self._mpmath_value(alpha, y1, y2)
+        assert whittaker_gl3(alpha, y1, y2) == pytest.approx(expect, rel=1e-9)
+
+    def test_stall_reports_last_halving_difference(self, monkeypatch):
+        # a constant integrand sums to (t_hi - t_lo) + h: the halving
+        # difference never reaches tol, and the error must carry it
+        monkeypatch.setattr(whittaker, "_vt_integrand",
+                            lambda nu, a2, y1, y2, t: np.ones(t.shape))
+        with pytest.raises(QuadratureError) as info:
+            whittaker_gl3((0.3, 0.1, -0.4), 1.0, 1.0)
+        assert 0.0 < info.value.achieved < 1.0 / 128
+        assert f"{info.value.achieved:.3e}" in str(info.value)
