@@ -180,7 +180,6 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
     # |x| <= ha and |y| <= 2 ha index the gcd table as well as |v| <= height
     width = max(height, 2 * ha) + 1
     gcd = np.gcd.outer(*[np.arange(width, dtype=np.int32)] * 2)
-    coprime = (gcd[:ha + 1] == 1).ravel()
     inv = np.zeros((height + 1, height + 1), np.int32)  # r^-1 mod m
     for m in range(2, height + 1):
         for r in range(1, m):
@@ -223,7 +222,7 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
             ny = np.maximum(y_hi - y_lo + 1, 0)
             pair = np.repeat(np.arange(row.size, dtype=np.int32), ny)
             y = _ramp(ny) + y_lo[pair]
-            keep = coprime[x[pair] * width + np.abs(y)]
+            keep = gcd[x[pair], np.abs(y)] == 1
             pair, y = pair[keep], y[keep]
             r, xp = row[pair], x[pair]
             a = np.empty((pair.size, 3), np.int32)
@@ -484,8 +483,7 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
         value, half = _quadrature(series, phase)
         if height >= 8:
             v_lo, _ = _quadrature(inner, phase)
-            p = 2.0 * request.s.values[0] - 1.0
-            r = 2.0 ** (p.real if p.imag == 0 else p)
+            r = 2.0 ** (2.0 * request.s.values[0] - 1.0)
             value = (r * value - v_lo) / (r - 1.0)
             if half is not None:
                 half = (r * half - v_lo) / (r - 1.0)
