@@ -26,7 +26,7 @@ from .core import (
     rho_phi,
 )
 from .forms import FormSet, FormSpec, const_form, mock_maass_form
-from .hecke import check_permutation_covariance, divisor_sigma, eis_hecke_eigenvalue
+from .hecke import divisor_sigma, eis_hecke_eigenvalue
 from .eisenstein import (
     ConvergenceError,
     FWRequest,

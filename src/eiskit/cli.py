@@ -163,10 +163,12 @@ def _parse_sigma(text: str, r: int) -> tuple[int, ...]:
 def _parse_group_element(args, n: int) -> GroupElement:
     if getattr(args, "g", None):
         try:
-            mat = np.array(json.loads(args.g), dtype=float)
-            return GroupElement(mat)
+            g = GroupElement(np.array(json.loads(args.g), dtype=float))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --g: {exc}") from exc
+        if g.n != n:
+            raise UsageError(f"bad --g: expected a {n} x {n} matrix")
+        return g
     return GroupElement.identity(n)
 
 
@@ -245,7 +247,7 @@ def _cmd_extract(args) -> int:
     if len(m) == 1 and n > 2:
         m = m + (1,) * (n - 2)
     request = FWRequest(partition=partition, forms=forms, M=m, s=s, g=g)
-    nodes = args.nodes if args.nodes else (64 if n == 2 else 24)
+    nodes = args.nodes if args.nodes is not None else (64 if n == 2 else 24)
     value = extract_fourier_coefficient(
         n, request, height=args.height, quad_nodes=nodes)
     report = {"command": "extract", "m": list(m), "height": args.height,

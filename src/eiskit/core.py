@@ -8,6 +8,7 @@ on an actual matrix.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -85,6 +86,8 @@ class SpectralPoint:
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(cmath.isfinite(v) for v in vals):
+            raise ValueError(f"coordinates must be finite, got {vals}")
         if len(vals) != self.partition.r:
             raise ValueError(
                 f"expected {self.partition.r} coordinates, got {len(vals)}"
@@ -156,10 +159,7 @@ class GroupElement:
     @classmethod
     def from_iwasawa(cls, x: np.ndarray, y: Sequence[float]) -> "GroupElement":
         """Assemble x * diag-form(y); y = (y_1, ..., y_{n-1})."""
-        y = list(y)
-        n = len(y) + 1
-        diag = [float(np.prod(y[: n - 1 - i])) for i in range(n)]
-        return cls(np.array(x, dtype=float) @ np.diag(diag))
+        return cls(np.array(x, dtype=float) @ np.diag(_diag_from_y(y)))
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,10 @@ class IwasawaCoords:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", tuple(float(v) for v in self.y))
 
-    def y_diagonal(self) -> np.ndarray:
-        """Diagonal entries (y_1...y_{n-1}, y_1...y_{n-2}, ..., y_1, 1)."""
-        n = len(self.y) + 1
-        return np.array([np.prod(self.y[: n - 1 - i]) for i in range(n)])
+
+def _diag_from_y(y: Sequence[float]) -> list[float]:
+    """Diagonal entries (y_1...y_{n-1}, y_1...y_{n-2}, ..., y_1, 1)."""
+    return [float(np.prod(y[: len(y) - i])) for i in range(len(y) + 1)]
 
 
 def rho_borel(n: int) -> tuple[Fraction, ...]:
@@ -200,11 +200,8 @@ def rho_parabolic(partition: Partition) -> tuple[Fraction, ...]:
     n = partition.n
     out = []
     consumed = 0
-    for j, nj in enumerate(partition.parts):
-        if j == 0:
-            out.append(Fraction(n - nj, 2))
-        else:
-            out.append(Fraction(n - nj, 2) - consumed)
+    for nj in partition.parts:
+        out.append(Fraction(n - nj, 2) - consumed)
         consumed += nj
     return tuple(out)
 
@@ -293,10 +290,8 @@ def power_function(partition: Partition, s: SpectralPoint, g: GroupElement
 def power_from_y(partition: Partition, s_values: Sequence[complex],
                  y: Sequence[float]) -> complex:
     """Power function evaluated directly on Iwasawa y-coordinates."""
-    n = partition.n
-    diag = [float(np.prod(np.asarray(y)[: n - 1 - i])) if i < n - 1 else 1.0
-            for i in range(n)]
-    offs = Partition(partition.parts).block_offsets()
+    diag = _diag_from_y(y)
+    offs = partition.block_offsets()
     out = 1.0 + 0.0j
     for i, si in enumerate(s_values):
         block_det = 1.0

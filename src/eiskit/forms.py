@@ -165,14 +165,10 @@ def _mock_angle(prime: int, seed: int) -> float:
     return theta
 
 
-def mock_maass_form(degree: int = 2, seed: int = 1,
-                    prime_limit: int = DEFAULT_PRIME_LIMIT) -> FormSpec:
-    return _mock_maass_form_cached(degree, seed, prime_limit)
-
-
 @lru_cache(maxsize=128)
-def _mock_maass_form_cached(degree: int, seed: int, prime_limit: int) -> FormSpec:
-    """Deterministic synthetic Maass-form data.
+def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
+    """Deterministic synthetic Maass-form data, at every prime up to
+    `DEFAULT_PRIME_LIMIT`.
 
     Degree 2: lambda(p) = 2 cos(theta_p) with theta_p semicircle-distributed,
     clamped away from 0, and distinct across seeds at each prime (2 cos is
@@ -191,7 +187,7 @@ def _mock_maass_form_cached(degree: int, seed: int, prime_limit: int) -> FormSpe
         alpha = tuple(1j * v for v in ts) + (-1j * sum(ts),)
     hecke: dict[int, complex] = {}
     satake: dict[int, tuple[complex, ...]] = {}
-    for p in _primes_up_to(prime_limit):
+    for p in _primes_up_to(DEFAULT_PRIME_LIMIT):
         if degree == 2:
             theta = _mock_angle(p, seed)
             beta = (cmath.exp(1j * theta), cmath.exp(-1j * theta))

@@ -7,18 +7,13 @@ stays fast.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import Partition, SpectralPoint
 from .forms import FormSet, _factorize, _local_series
 
 __all__ = [
     "divisor_sigma",
     "eis_hecke_eigenvalue",
-    "check_permutation_covariance",
 ]
-
-COVARIANCE_TOL = 1e-12
 
 
 def divisor_sigma(s: complex, m: int) -> complex:
@@ -50,18 +45,3 @@ def eis_hecke_eigenvalue(partition: Partition, forms: FormSet,
         total *= local[a]
     return total
 
-
-def check_permutation_covariance(partition: Partition, forms: FormSet,
-                                 s: SpectralPoint, m: int,
-                                 sigma: Sequence[int]) -> tuple[bool, float]:
-    """Assert lambda_{sigma P, sigma Phi}(m, sigma s) = lambda_{P, Phi}(m, s).
-
-    Returns (passed, residual).
-    """
-    left = eis_hecke_eigenvalue(partition, forms, s, m)
-    right = eis_hecke_eigenvalue(
-        partition.permuted(sigma), forms.permuted(sigma), s.permuted(sigma), m
-    )
-    residual = abs(left - right)
-    scale = max(1.0, abs(left))
-    return residual <= COVARIANCE_TOL * scale, residual

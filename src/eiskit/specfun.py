@@ -88,28 +88,29 @@ def _bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-def zeta(s: complex, terms: int = 50, corrections: int = 20) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin summation.
 
-    Defaults give ~1e-14 absolute error for |Im s| <= 50 and Re s >= -2.
+    50 terms and 20 Bernoulli corrections give ~1e-14 absolute error for
+    |Im s| <= 50 and Re s >= -2.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
         raise PoleError(1.0, "zeta")
-    n = terms
+    n = 50
     acc = sum(k ** (-s) for k in range(1, n))
     acc += n ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * n ** (-s)
     # correction terms: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * n^{-s-2k+1}
     rising = s
-    for k in range(1, corrections + 1):
+    for k in range(1, 21):
         b = float(_bernoulli(2 * k)) / math.factorial(2 * k)
         acc += b * rising * n ** (-s - 2 * k + 1)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return acc
 
 
-def zeta_completed(s: complex, terms: int = 50, corrections: int = 20) -> complex:
+def zeta_completed(s: complex) -> complex:
     """zeta*(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1."""
     s = complex(s)
     if abs(s) < 1e-14:
@@ -119,7 +120,7 @@ def zeta_completed(s: complex, terms: int = 50, corrections: int = 20) -> comple
     return (
         cmath.exp(-0.5 * s * math.log(math.pi))
         * gamma_complex(0.5 * s)
-        * zeta(s, terms=terms, corrections=corrections)
+        * zeta(s)
     )
 
 

@@ -45,9 +45,12 @@ class QuadratureError(RuntimeError):
 #        int (y^2 + u^2)^{-s} e(-u) du = 2 pi^s y^{1/2-s} K_{s-1/2}(2 pi y) / Gamma(s)
 #        (the identity `_jacquet_gl3` uses for its u2 integral), so
 #        W = 2 sqrt(y) K_nu(2 pi y).
-#   n=3: measured once as the (empirically constant) ratio jacquet_oracle /
-#        bessel-form over a grid of parameters and y, then frozen:
-#        ratio 8.0 = 32*pi^2 / (4*pi^2), constant to ~1e-6 over the test grid
+#   n=3: Bump's double Mellin transform (Automorphic Forms on GL(3,R),
+#        LNM 1083), in this normalization with W = whittaker_gl3(alpha, y1, y2):
+#          int int W y1^s1 y2^s2 dy1/y1 dy2/y2 = 1/4 pi^{-s1-s2-2}
+#            prod_i Gamma((s1+1-a_i)/2) Gamma((s2+1+a_i)/2) / Gamma((s1+s2+2)/2);
+#        the constant 8 is what makes that factor exactly 1/4 (checked by
+#        trapezoid quadrature in log y, TestGL3MellinTransform)
 WHITTAKER_GL2_CONSTANT = 2.0
 WHITTAKER_GL3_CONSTANT = 8.0
 
@@ -68,14 +71,15 @@ def _vt_integrand(nu: complex, a2: complex, y1: float, y2: float,
     return vals * np.exp(-1.5 * a2 * t)
 
 
-def whittaker_gl3(alpha, y1: float, y2: float, tol: float = 1e-10) -> complex:
+def whittaker_gl3(alpha, y1: float, y2: float) -> complex:
     """Completed GL(3) Whittaker value via the double-K-Bessel integral.
 
     W(y1, y2) = 8 y1 y2 (y1/y2)^{a2/2}
                 * int_0^inf K_nu(2 pi y1 sqrt(1+x^2)/x)
                             K_nu(2 pi y2 sqrt(1+x^2)) x^{-3 a2/2} dx/x
     with nu = (a1 - a3)/2; absolutely convergent for every alpha with
-    sum(alpha) = 0, and invariant under permutations of alpha.
+    sum(alpha) = 0, and invariant under permutations of alpha.  Step halving
+    stops at a relative change of 1e-10.
     """
     a1, a2, a3 = (complex(v) for v in alpha)
     if abs(a1 + a2 + a3) > 1e-9:
@@ -103,7 +107,7 @@ def whittaker_gl3(alpha, y1: float, y2: float, tol: float = 1e-10) -> complex:
         val = h * _vt_integrand(nu, a2, y1, y2, t).sum()
         if prev is not None:
             diff = abs(val - prev) / max(abs(val), 1e-300)
-            if diff <= tol:
+            if diff <= 1e-10:
                 break
         prev = val
         h *= 0.5
@@ -203,7 +207,7 @@ def _bessel_k_interp(nu: complex, x: np.ndarray,
 
 
 def _jacquet_gl3(alpha, y1: float, y2: float, L: float, order: int,
-                 ratio: float = 1.4, u3_factor: float = 12.0) -> complex:
+                 ratio: float) -> complex:
     # The u2 integral is exact: for the quadratic (u2-B)^2 + A^2 raised to -s,
     #   int e^{-2 pi i u2} ((u2-B)^2 + A^2)^{-s} du2
     #     = e^{-2 pi i B} 2 pi^s A^{1/2-s} K_{s-1/2}(2 pi A) / Gamma(s),
@@ -226,7 +230,7 @@ def _jacquet_gl3(alpha, y1: float, y2: float, L: float, order: int,
         starts, pos = [], 0
         for x1 in uniq:
             sc = x1 * x1 + y2 * y2
-            u3_max = (u3_factor * sc + 10.0) / y2
+            u3_max = (8.0 * sc + 10.0) / y2
             bnds = [0.0]
             b = min(0.25, 0.25 * y1 * y2)
             while b < u3_max:
@@ -264,7 +268,7 @@ def _jacquet_gl3(alpha, y1: float, y2: float, L: float, order: int,
     return _gamma_prefactor(alpha) * pref * val
 
 
-def jacquet_oracle(alpha, y, n: int | None = None, tol: float = 1e-6) -> complex:
+def jacquet_oracle(alpha, y, tol: float = 1e-6) -> complex:
     """Direct numerical evaluation of the defining unipotent integral.
 
     Gamma prefactor prod_{j<k} Gamma((1+a_j-a_k)/2) / pi^{(1+a_j-a_k)/2}
@@ -274,9 +278,8 @@ def jacquet_oracle(alpha, y, n: int | None = None, tol: float = 1e-6) -> complex
     estimate, and a miss of `tol` raises QuadratureError.
     """
     alpha = tuple(complex(v) for v in alpha)
-    if n is None:
-        n = len(alpha)
-    if n != len(alpha) or n not in (2, 3):
+    n = len(alpha)
+    if n not in (2, 3):
         raise DomainError(f"supported ranks are 2 and 3, got n={n}")
     for i in range(n - 1):
         if (alpha[i] - alpha[i + 1]).real <= 0:
@@ -289,10 +292,8 @@ def jacquet_oracle(alpha, y, n: int | None = None, tol: float = 1e-6) -> complex
         coarse = _jacquet_gl2(alpha, ys[0], L=150.0, order=10)
         fine = _jacquet_gl2(alpha, ys[0], L=220.0, order=12)
     else:
-        coarse = _jacquet_gl3(alpha, ys[0], ys[1], L=42.0, order=14,
-                              ratio=1.1, u3_factor=8.0)
-        fine = _jacquet_gl3(alpha, ys[0], ys[1], L=60.0, order=14,
-                            ratio=1.08, u3_factor=8.0)
+        coarse = _jacquet_gl3(alpha, ys[0], ys[1], L=42.0, order=14, ratio=1.1)
+        fine = _jacquet_gl3(alpha, ys[0], ys[1], L=60.0, order=14, ratio=1.08)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
     if achieved > tol:
         raise QuadratureError("jacquet_oracle refinement disagreement", achieved)

@@ -257,6 +257,22 @@ class TestUsageErrors:
                                  "--trials", "0"], "trials"),
         "falsify-negative-trials": (["falsify", "--partition", "1,1,1",
                                      "--trials", "-1"], "trials"),
+        "extract-zero-nodes": (["extract", "--partition", "1,1", "--s", "1.5",
+                                "--m", "1", "--height", "5", "--nodes", "0"],
+                               "nodes"),
+        "extract-negative-nodes": (["extract", "--partition", "1,1", "--s",
+                                    "1.5", "--m", "1", "--height", "5",
+                                    "--nodes", "-3"], "nodes"),
+        "eval-nan-s": (["eval", "--partition", "1,1", "--s", "nan",
+                        "--height", "3"], "finite"),
+        "eval-inf-s": (["eval", "--partition", "1,1", "--s", "inf",
+                        "--height", "3"], "finite"),
+        "eval-g-wrong-size": (["eval", "--partition", "1,1,1", "--s", "2,0",
+                               "--height", "3", "--g", "[[1,0],[0,1]]"],
+                              "bad --g"),
+        "extract-g-wrong-size": (["extract", "--partition", "1,1", "--s",
+                                  "1.5", "--m", "1", "--height", "5", "--g",
+                                  "[[1,0,0],[0,1,0],[0,0,1]]"], "bad --g"),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -68,6 +68,16 @@ class TestSpectralPoint:
         with pytest.raises(ValueError):
             SpectralPoint((1.0, 1.0), Partition((1, 1)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     complex(0.5, float("nan"))])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares False with every bound, so the sum check alone would
+        # let it through
+        with pytest.raises(ValueError, match="finite"):
+            SpectralPoint((bad, -bad), Partition((1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            SpectralPoint.from_leading(Partition((1, 1, 1)), [bad, 0.1])
+
     def test_permuted_round_trip(self):
         p = Partition((1, 1, 1))
         s = SpectralPoint((0.4 + 1j, 0.1, -0.5 - 1j), p)
@@ -98,7 +108,8 @@ class TestIwasawa:
             coords, k, d = iwasawa(g)
             assert np.allclose(k @ k.T, np.eye(n), atol=1e-12)
             # reassemble: x * diag(y-shape) * d * k = g
-            rebuilt = coords.x @ np.diag(coords.y_diagonal() * d) @ k
+            rebuilt = GroupElement.from_iwasawa(coords.x, coords.y).entries
+            rebuilt = rebuilt * d @ k
             assert np.allclose(rebuilt, mat, atol=1e-10 * np.abs(mat).max())
 
     def test_y_positive(self):

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from eiskit.core import GroupElement, Partition, SpectralPoint
+from eiskit.core import (GroupElement, Partition, SpectralPoint,
+                         power_function, rho_borel)
 from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.eisenstein import (
     ConvergenceError,
@@ -21,6 +22,8 @@ from eiskit.eisenstein import (
     scattering_phi,
     _coprime_pairs,
     _coset_rows_gl3,
+    _lattice_terms,
+    _term_exponents,
 )
 from eiskit.specfun import zeta_completed
 
@@ -102,6 +105,31 @@ class TestCosets:
         assert not (vs * avs).sum(axis=1).any()
 
 
+class TestLatticeKernel:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_term_is_power_function(self, n):
+        # the coset term of gamma's Plucker rows at W = g is the power
+        # function |gamma g|^(s + rho) of the Borel series
+        rng = np.random.default_rng(n)
+        borel = _borel(n)
+        for _ in range(20):
+            gamma = np.eye(n, dtype=np.int64)  # in SL(n, Z) by row operations
+            for _ in range(4):
+                i, j = rng.choice(n, 2, replace=False)
+                gamma[i] += rng.integers(-2, 3) * gamma[j]
+            g = rng.normal(size=(n, n))
+            vals = rng.uniform(-2, 2, n) + 1j * rng.uniform(-1, 1, n)
+            s = SpectralPoint(tuple(vals - vals.mean()), borel)
+            lam = SpectralPoint(tuple(v + float(r) for v, r in
+                                      zip(s.values, rho_borel(n))), borel)
+            rows = ((gamma[-1:],) if n == 2 else
+                    (gamma[-1:], np.cross(gamma[1], gamma[2])[None]))
+            (_, terms), = _lattice_terms([rows], g[None],
+                                         _term_exponents(n, s))
+            want = power_function(borel, lam, GroupElement(gamma @ g))
+            assert abs(terms[0, 0] - want) <= 1e-11 * abs(want)
+
+
 class TestEval:
     def test_gl2_against_fourier_expansion(self):
         s1 = 1.5
@@ -181,6 +209,23 @@ class TestEval:
             eval_eisenstein(3, g, s, 0)
         with pytest.raises(ValueError, match="height"):
             extract_fourier_coefficient(3, req, height=0, quad_nodes=4)
+
+    def test_group_element_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 x 3"):
+            eval_eisenstein(3, GroupElement.identity(2),
+                            SpectralPoint((2, 0, -2), _borel(3)), 5)
+        with pytest.raises(ValueError, match="partition has n = 2"):
+            FWRequest(partition=_borel(2), forms=_trivial_forms(2), M=(1,),
+                      s=SpectralPoint((1.5, -1.5), _borel(2)),
+                      g=GroupElement.identity(3))
+
+    @pytest.mark.parametrize("nodes", [0, -3])
+    def test_node_count_below_one_rejected(self, nodes):
+        req = FWRequest(partition=_borel(2), forms=_trivial_forms(2), M=(1,),
+                        s=SpectralPoint((1.5, -1.5), _borel(2)),
+                        g=GroupElement.identity(2))
+        with pytest.raises(ValueError, match="quad_nodes"):
+            extract_fourier_coefficient(2, req, height=5, quad_nodes=nodes)
 
 
 class TestClosedForms:

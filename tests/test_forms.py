@@ -95,7 +95,8 @@ class TestHeckeExtend:
         assert hecke_extend(f, p * p) == pytest.approx(direct, rel=1e-12)
 
     def test_missing_prime(self):
-        f = mock_maass_form(2, 1, prime_limit=50)
+        # mock data stops at DEFAULT_PRIME_LIMIT = 4096 < 10007
+        f = mock_maass_form(2, 1)
         with pytest.raises(HeckeDataError):
             hecke_extend(f, 10007)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eiskit import whittaker
+from eiskit.specfun import gamma_complex
 from eiskit.whittaker import (
     DomainError,
     QuadratureError,
@@ -123,6 +124,37 @@ class TestGL3MellinCrossCheck:
         integral = mp.quad(integrand, [-6, 0, 6])
         expect = 8.0 * y1 * y2 * (y1 / y2) ** (0.5 * a2) * float(integral)
         assert whittaker_gl3(alpha, y1, y2) == pytest.approx(expect, rel=1e-9)
+
+
+class TestGL3MellinTransform:
+    @staticmethod
+    def _bump(alpha, s1, s2):
+        # Bump's double Mellin transform of W, in this normalization
+        out = 0.25 * math.pi ** (-s1 - s2 - 2)
+        for a in alpha:
+            out *= (gamma_complex((s1 + 1 - a) / 2)
+                    * gamma_complex((s2 + 1 + a) / 2))
+        return out / gamma_complex((s1 + s2 + 2) / 2)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("alpha, s1, s2", [
+        ((1.0, 0.2, -1.2), 2.5, 1.8),
+        ((0.2 + 1j, -0.1, -0.1 - 1j), 1.6, 1.3),
+    ])
+    def test_double_mellin_transform(self, alpha, s1, s2):
+        # trapezoid rule in log y over [-16, 1]^2, 33^2 nodes (measured
+        # errors 5.3e-7 and 7.0e-7); alpha -> -alpha on the right-hand side
+        # moves it by 1.6e-2 and 4.6e-3, so the check fixes the constant 8
+        # and the sign convention.  s1 != s2 on purpose: at s1 = s2 the
+        # right-hand side is unchanged under alpha -> -alpha.
+        t, h = np.linspace(-16.0, 1.0, 33, retstep=True)
+        y = np.exp(t)
+        total = sum(whittaker_gl3(alpha, y1, y2) * y1 ** s1 * y2 ** s2
+                    for y1 in y for y2 in y) * h * h
+        expect = self._bump(alpha, s1, s2)
+        assert abs(total - expect) <= 1e-5 * abs(expect)
+        flipped = self._bump(tuple(-a for a in alpha), s1, s2)
+        assert abs(flipped - expect) > 1e-3 * abs(expect)
 
 
 class TestGL3DeepCusp:
