@@ -36,7 +36,7 @@ from .forms import (DEFAULT_PRIME_LIMIT, DEFAULT_TRUNCATION, FormSet,
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
-from .specfun import PoleError
+from .specfun import PoleError, bessel_k, zeta_completed
 from .uniqueness import (BlockStructure, affine_map_from_json,
                          decide_affine_symmetry, random_falsification)
 from .whittaker import QuadratureError
@@ -110,8 +110,11 @@ def _parse_complex_list(text: str) -> list[complex]:
         raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-def _parse_forms(text: str, partition: Partition) -> FormSet:
-    """mock:<seed> shorthand per slot, 'const', or a JSON form-spec path."""
+def _parse_forms(text: str | None, partition: Partition) -> FormSet:
+    """mock:<seed> shorthand per slot, 'const', or a JSON form-spec path;
+    None (no --forms) puts the constant form in every slot."""
+    if text is None:
+        return FormSet(tuple(const_form() for _ in partition.parts))
     specs = text.split(",")
     if len(specs) != partition.r:
         raise UsageError(
@@ -204,8 +207,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_divisor_sum(args) -> int:
     partition = _parse_partition(args.partition)
-    forms = (_parse_forms(args.forms, partition) if args.forms
-             else FormSet(tuple(const_form() for _ in partition.parts)))
+    forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
     value = eis_hecke_eigenvalue(partition, forms, s, args.m)
     print(_fmt(value) if value.imag != 0 or value.real != int(value.real)
@@ -239,8 +241,7 @@ def _cmd_check_fe(args) -> int:
 def _cmd_extract(args) -> int:
     partition = _parse_partition(args.partition)
     n = partition.n
-    forms = (_parse_forms(args.forms, partition) if args.forms
-             else FormSet(tuple(const_form() for _ in partition.parts)))
+    forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
     g = _parse_group_element(args, n)
     m = tuple(int(v) for v in args.m.split(","))
@@ -309,7 +310,6 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .specfun import bessel_k, zeta_completed
     checks = []
 
     def record(name, passed, detail):

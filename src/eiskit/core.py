@@ -128,10 +128,6 @@ class LanglandsParameterVec:
         if abs(sum(entries)) > SUM_TOL * scale:
             raise ValueError(f"parameter entries sum to {sum(entries)}, not 0")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -227,23 +223,14 @@ def langlands_parameter(partition: Partition, forms, s: SpectralPoint
                         ) -> LanglandsParameterVec:
     """Flattened n-tuple (alpha_{j,k} + s_j), blocks in order.
 
-    ``forms`` is a FormSet-like object: ``forms.forms[j]`` has ``degree`` and
+    ``forms`` is a FormSet: ``forms.forms[j]`` has ``degree`` and
     ``alpha``. Degree-1 factors contribute the single entry s_j.
     """
-    factor_list = list(forms.forms)
-    if len(factor_list) != partition.r:
-        raise ValueError(
-            f"partition has {partition.r} parts but got {len(factor_list)} forms"
-        )
+    forms.check_against(partition)
     if s.partition.parts != partition.parts:
         raise ValueError("spectral point belongs to a different partition")
     entries: list[complex] = []
-    for j, (nj, form) in enumerate(zip(partition.parts, factor_list)):
-        if form.degree != nj:
-            raise ValueError(
-                f"factor {j} has degree {form.degree}, part is {nj}"
-            )
-        sj = s.values[j]
+    for form, sj in zip(forms.forms, s.values):
         for a in form.alpha:
             entries.append(complex(a) + sj)
     return LanglandsParameterVec(tuple(entries))

@@ -9,6 +9,7 @@ checking (symbolic bookkeeping closure and numeric comparison).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,8 @@ import numpy as np
 from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
                    langlands_parameter, rho_borel)
 from .forms import DEFAULT_TRUNCATION, FormSet, adjoint_l_at_one
-from .hecke import eis_hecke_eigenvalue
+from .hecke import divisor_sigma, eis_hecke_eigenvalue
+from .specfun import bessel_k, zeta_completed
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
 
 __all__ = [
@@ -70,8 +72,6 @@ class FEReport:
     mode: str
     sigma: tuple[int, ...]
     passed: bool
-    left: object = None
-    right: object = None
     abs_residual: float = 0.0
     rel_residual: float = 0.0
     metadata: dict = field(default_factory=dict)
@@ -100,16 +100,16 @@ def canonical_coset_form(matrix: np.ndarray) -> tuple:
     return (v, _sign_canonical(tuple(int(x) for x in np.cross(m[1], m[2]))))
 
 
-def _coprime_pairs(height: int, chunk: int = 200):
+def _coprime_pairs(height: int):
     """Bottom rows (c, d) of the GL(2) coset representatives up to `height`.
 
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
-    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks.
+    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks of width 200.
     """
     yield np.array([[0, 1]], np.int64)
     d_all = np.arange(-height, height + 1, dtype=np.int64)
-    for lo in range(1, height + 1, chunk):
-        cs = np.arange(lo, min(lo + chunk, height + 1), dtype=np.int64)
+    for lo in range(1, height + 1, 200):
+        cs = np.arange(lo, min(lo + 200, height + 1), dtype=np.int64)
         cg, dg = np.meshgrid(cs, d_all, indexing="ij")
         keep = np.gcd(cg, np.abs(dg)) == 1
         yield np.stack((cg[keep], dg[keep]), axis=1)
@@ -394,7 +394,9 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     half = height // 2
     total = inner = 0.0
     for rows, terms in _lattice_terms(chunks, w_mats, _term_exponents(n, s)):
-        heights = np.abs(np.concatenate(rows, axis=1)).max(axis=1)
+        # elementwise: a max along the short row axis is several times slower
+        heights = functools.reduce(
+            np.maximum, (np.abs(col) for p in rows for col in p.T))
         total = total + terms.sum(axis=0)
         inner = inner + terms[heights <= half].sum(axis=0)
     return total, inner
@@ -422,8 +424,6 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
 
 def scattering_phi(s: complex) -> complex:
     """phi(s) = zeta*(2s-1)/zeta*(2s)."""
-    from .specfun import zeta_completed
-
     return zeta_completed(2 * s - 1) / zeta_completed(2 * s)
 
 
@@ -438,9 +438,6 @@ def closed_form_fourier_gl2(m: int, s1: complex, y: float) -> complex:
     verified by quadrature extraction (the one-sided expansion convention
     omits it).
     """
-    from .hecke import divisor_sigma
-    from .specfun import bessel_k, zeta_completed
-
     if y <= 0:
         raise ValueError("need y > 0")
     if m == 0:
@@ -589,7 +586,7 @@ def fw_formula(request: FWRequest,
 
 
 def check_functional_equation(partition: Partition, forms: FormSet,
-                              s: SpectralPoint, sigma, samples=None,
+                              s: SpectralPoint, sigma,
                               mode: str = "symbolic",
                               truncation: int = DEFAULT_TRUNCATION
                               ) -> FEReport:
@@ -599,7 +596,7 @@ def check_functional_equation(partition: Partition, forms: FormSet,
     (P, Phi, s) and (sigma P, sigma Phi, sigma s).  sigma moves each block
     with its form and its s_j, so this holds by construction; it checks the
     bookkeeping of `permuted` and `langlands_parameter`, not the series.
-    numeric: fw_formula on both sides at each (g, M) sample.
+    numeric: fw_formula on both sides at g = 1 and M = (1, ..., 1).
     """
     sigma = tuple(sigma)
     part2 = partition.permuted(sigma)
@@ -611,26 +608,16 @@ def check_functional_equation(partition: Partition, forms: FormSet,
                    key=lambda z: (z.real, z.imag))
             for p, f, x in ((partition, forms, s), (part2, forms2, s2)))
         return FEReport(mode="symbolic", sigma=sigma, passed=left == right,
-                        left=left, right=right,
                         metadata={"partition": partition.parts,
                                   "sigma_partition": part2.parts})
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    if samples is None:
-        samples = [(GroupElement.identity(partition.n),
-                    (1,) * (partition.n - 1))]
-    worst_abs = worst_rel = 0.0
-    left = right = None
-    for g, big_m in samples:
-        left = fw_formula(FWRequest(partition, forms, tuple(big_m), s, g),
-                          truncation)
-        right = fw_formula(FWRequest(part2, forms2, tuple(big_m), s2, g),
-                           truncation)
-        a = abs(left - right)
-        worst_abs = max(worst_abs, a)
-        worst_rel = max(worst_rel, a / max(abs(left), 1e-300))
+    g, big_m = GroupElement.identity(partition.n), (1,) * (partition.n - 1)
+    left = fw_formula(FWRequest(partition, forms, big_m, s, g), truncation)
+    right = fw_formula(FWRequest(part2, forms2, big_m, s2, g), truncation)
+    abs_residual = abs(left - right)
+    rel_residual = abs_residual / max(abs(left), 1e-300)
     return FEReport(mode="numeric", sigma=sigma,
-                    passed=bool(worst_rel <= 1e-6), left=left, right=right,
-                    abs_residual=worst_abs, rel_residual=worst_rel,
-                    metadata={"samples": len(samples),
-                              "truncation": truncation})
+                    passed=bool(rel_residual <= 1e-6),
+                    abs_residual=abs_residual, rel_residual=rel_residual,
+                    metadata={"truncation": truncation})

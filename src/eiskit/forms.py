@@ -61,8 +61,8 @@ class TruncatedValue(NamedTuple):
 class FormSpec:
     """One tensor factor: degree, parity, Langlands parameter, Hecke data.
 
-    ``satake`` optionally stores unit-circle parameters per prime; it is what
-    makes prime-power eigenvalues well-defined for degree >= 3 mocks.
+    ``satake`` optionally stores `degree` unit-circle parameters per prime;
+    it makes prime-power eigenvalues well-defined for degree >= 3 mocks.
     Equality compares every field; the hash is that of the name.
     """
 
@@ -74,9 +74,11 @@ class FormSpec:
     satake: dict[int, tuple[complex, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.parity not in (0, 1):
+        if type(self.name) is not str:
+            raise ValueError("name must be a string")
+        if type(self.degree) is not int or self.degree < 1:
+            raise ValueError("degree must be an integer >= 1")
+        if type(self.parity) is not int or self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         alpha = tuple(complex(a) for a in self.alpha)
         object.__setattr__(self, "alpha", alpha)
@@ -84,7 +86,15 @@ class FormSpec:
             raise ValueError(
                 f"alpha has {len(alpha)} entries, degree is {self.degree}"
             )
-        if abs(sum(alpha)) > 1e-12 * max(1.0, max(abs(a) for a in alpha)):
+        if any(len(beta) != self.degree for beta in self.satake.values()):
+            raise ValueError(f"satake entries need {self.degree} parameters")
+        if not all(cmath.isfinite(v) for v in (*alpha, *self.hecke.values(),
+                   *(b for beta in self.satake.values() for b in beta))):
+            raise ValueError("alpha, hecke and satake values must be finite")
+        # sup norms: abs() of a finite complex can overflow
+        scale = max(1.0, *(abs(x) for a in alpha for x in (a.real, a.imag)))
+        total = sum(alpha)
+        if max(abs(total.real), abs(total.imag)) > 1e-12 * scale:
             raise ValueError("alpha entries must sum to 0")
         if self.degree == 1 and (alpha != (0j,) or self.hecke):
             raise ValueError("degree-1 factor must be the constant function")
@@ -420,14 +430,33 @@ def form_to_json(form: FormSpec) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"))
 
 
+def _json_pairs(v, make, what: str) -> tuple:
+    """make(x, y) for each [x, y] pair of JSON numbers in the list `v`."""
+    if type(v) is list and all(type(p) is list and len(p) == 2 and all(
+            type(x) in (int, float) for x in p) for p in v):
+        try:
+            return tuple(make(*p) for p in v)
+        except (TypeError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be [x, y] pairs for {make.__name__}(x, y)")
+
+
 def form_from_json(text: str) -> FormSpec:
+    """Parse the form-spec format; ValueError names a malformed field."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError("form spec must be a JSON object")
+    hecke, satake = doc.get("hecke", {}), doc.get("satake", {})
+    if not all(type(t) is dict and all(map(str.isdecimal, t))
+               for t in (hecke, satake)):
+        raise ValueError("form spec: hecke and satake must have integer keys")
     return FormSpec(
-        name=doc["name"],
-        degree=int(doc["degree"]),
-        parity=int(doc.get("parity", 0)),
-        alpha=tuple(complex(re, im) for re, im in doc["alpha"]),
-        hecke={int(p): complex(re, im) for p, (re, im) in doc.get("hecke", {}).items()},
-        satake={int(p): tuple(complex(re, im) for re, im in beta)
-                for p, beta in doc.get("satake", {}).items()},
+        name=doc.get("name"),
+        degree=doc.get("degree"),
+        parity=doc.get("parity", 0),
+        alpha=_json_pairs(doc.get("alpha"), complex, "form spec: alpha"),
+        hecke={int(p): _json_pairs([v], complex, f"form spec: hecke {p}")[0]
+               for p, v in hecke.items()},
+        satake={int(p): _json_pairs(beta, complex, f"form spec: satake {p}")
+                for p, beta in satake.items()},
     )

@@ -53,8 +53,9 @@ def _lanczos_series(z: complex) -> complex:
     return acc
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
-    return abs(z.imag) < tol and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(z: complex) -> bool:
+    return (abs(z.imag) < 1e-14 and z.real <= 0.5
+            and abs(z.real - round(z.real)) < 1e-14)
 
 
 def gamma_complex(z: complex) -> complex:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Partition
-from .forms import FormSet
+from .forms import FormSet, _json_pairs
 
 __all__ = [
     "AffineMap",
@@ -37,16 +37,8 @@ __all__ = [
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -109,17 +101,6 @@ class BlockStructure:
                 return j
             start += size
         raise IndexError(i)
-
-    @classmethod
-    def from_forms(cls, partition: Partition, forms: FormSet
-                   ) -> "BlockStructure":
-        """Group consecutive equal (part, form) pairs into blocks."""
-        forms.check_against(partition)
-        sizes = []
-        for key, grp in itertools.groupby(
-                zip(partition.parts, forms.forms)):
-            sizes.append(sum(1 for _ in grp))
-        return cls(tuple(sizes))
 
 
 @dataclass(frozen=True)
@@ -241,9 +222,9 @@ def _divisor_sum_side(s_vals, lam, blocks: BlockStructure, p: float) -> complex:
     return total
 
 
-def _random_affine(rng: random.Random, r: int, max_den: int = 16) -> AffineMap:
+def _random_affine(rng: random.Random, r: int) -> AffineMap:
     def q():
-        den = rng.randint(1, max_den)
+        den = rng.randint(1, 16)
         num = rng.randint(-3 * den, 3 * den)
         return Fraction(num, den)
     a = tuple(tuple(q() for _ in range(r)) for _ in range(r))
@@ -314,8 +295,10 @@ def affine_map_to_json(mu: AffineMap) -> str:
 
 
 def affine_map_from_json(text: str) -> AffineMap:
+    """Parse the AffineMap format; ValueError names a malformed field."""
     doc = json.loads(text)
-    a = tuple(tuple(Fraction(int(v[0]), int(v[1])) for v in row)
-              for row in doc["A"])
-    b = tuple(Fraction(int(v[0]), int(v[1])) for v in doc["b"])
-    return AffineMap(a, b)
+    if type(doc) is not dict or type(doc.get("A")) is not list:
+        raise ValueError("map must be a JSON object with a list A")
+    a = tuple(_json_pairs(row, Fraction, f"map: row {i} of A")
+              for i, row in enumerate(doc["A"]))
+    return AffineMap(a, _json_pairs(doc.get("b"), Fraction, "map: b"))

@@ -131,7 +131,7 @@ def _gamma_prefactor(alpha) -> complex:
     return out
 
 
-def _oscillatory_tail(h_func, L: float, delta: float = 0.25) -> complex:
+def _oscillatory_tail(h_func, L: float) -> complex:
     """Asymptotic tail sum_{|u|>L} h(u) e^{-2 pi i u} du from endpoint jets.
 
     Integration by parts twice:
@@ -139,8 +139,9 @@ def _oscillatory_tail(h_func, L: float, delta: float = 0.25) -> complex:
                                                      + h''/(2 pi i)^3]
       int_-inf^-L              ~ -e^{2 pi i L} [h/(2 pi i) - h'/(2 pi i)^2
                                                      + h''/(2 pi i)^3]
-    with derivatives at u = +-L by central differences.
+    with derivatives at u = +-L by central differences of step 0.25.
     """
+    delta = 0.25
     stencil = np.array([-L - delta, -L, -L + delta, L - delta, L, L + delta])
     f = h_func(stencil)
     two_pi_i = 2.0j * math.pi
@@ -176,8 +177,7 @@ def _jacquet_gl2(alpha, y: float, L: float, order: int) -> complex:
     return _gamma_prefactor(alpha) * val
 
 
-def _bessel_k_interp(nu: complex, x: np.ndarray,
-                     points_per_decade: int = 20000) -> np.ndarray:
+def _bessel_k_interp(nu: complex, x: np.ndarray) -> np.ndarray:
     """K_nu over a large batch via a dense log-grid table.
 
     Tabulates K_nu once on a logarithmic grid and evaluates by 4-point
@@ -185,12 +185,8 @@ def _bessel_k_interp(nu: complex, x: np.ndarray,
     interpolation error is below 1e-10 relative, while the Bessel cost drops
     from one evaluation per point to one per table node.
     """
-    x = np.asarray(x, dtype=float)
-    lo, hi = float(x.min()), float(x.max())
-    if x.size < 4 * points_per_decade / 100:
-        return bessel_k_batch(nu, x)
-    llo, lhi = math.log(lo) - 1e-9, math.log(hi) + 1e-9
-    count = max(int((lhi - llo) / math.log(10) * points_per_decade), 8)
+    llo, lhi = math.log(x.min()) - 1e-9, math.log(x.max()) + 1e-9
+    count = max(int((lhi - llo) / math.log(10) * 20000), 8)
     grid = np.linspace(llo, lhi, count)
     table = bessel_k_batch(nu, np.exp(grid))
     h = grid[1] - grid[0]

@@ -283,6 +283,48 @@ class TestUsageErrors:
         assert needle in err
         assert out == ""
 
+    # malformed form-spec and affine-map files, passed where FILE stands
+    PARAMS = ["params", "--partition", "2", "--forms", "FILE", "--s", "0"]
+    MAP11 = ["uniqueness", "--partition", "1,1", "--map", "FILE"]
+    MAP1 = ["uniqueness", "--partition", "1", "--map", "FILE"]
+    FILE_CASES = {
+        "form-alpha-not-pairs": (
+            PARAMS, '{"name":"x","degree":2,"alpha":[1,2]}', "alpha"),
+        "form-alpha-string": (
+            PARAMS, '{"name":"x","degree":2,"alpha":[["a",0],[0,0]]}',
+            "alpha"),
+        "form-alpha-nan": (
+            PARAMS, '{"name":"x","degree":2,"alpha":[[NaN,0],[NaN,0]]}',
+            "finite"),
+        "form-alpha-beyond-float": (
+            PARAMS, '{"name":"x","degree":2,"alpha":[[1%s,0],[0,0]]}'
+            % ("0" * 400), "alpha"),
+        "form-short-satake": (
+            ["divisor-sum", "--partition", "2", "--forms", "FILE", "--s", "0",
+             "--m", "4"],
+            '{"name":"x","degree":2,"alpha":[[0,0],[0,0]],'
+            '"satake":{"2":[[1,0]]}}', "satake"),
+        "map-bare-entries": (MAP1, '{"A": [[1]], "b": [0]}', "A"),
+        "map-not-an-object": (MAP1, '[1, 2]', "map"),
+        "map-zero-denominator": (MAP1, '{"A": [[[1, 0]]], "b": [[0, 1]]}',
+                                 "A"),
+        "map-float-numerator": (
+            MAP11, '{"A": [[[1.5, 1], [0, 1]], [[0, 1], [1, 1]]], '
+                   '"b": [[0, 1], [0, 1]]}', "A"),
+    }
+
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_malformed_file_exits_2_with_one_line(self, capsys, tmp_path,
+                                                  case):
+        argv, text, needle = self.FILE_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(str(path) if a == "FILE" else a
+                                       for a in argv))
+        assert_usage_error(code, err)
+        assert needle in err
+        assert out == ""
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

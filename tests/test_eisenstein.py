@@ -2,11 +2,13 @@
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from eiskit.cli import dispatch
 from eiskit.core import (GroupElement, Partition, SpectralPoint,
                          power_function, rho_borel)
 from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
@@ -308,6 +310,37 @@ class TestExtractionGL2:
         val = extract_fourier_coefficient(2, req, height=500, quad_nodes=64)
         assert val == pytest.approx(closed_form_fourier_gl2(m, s1, y),
                                     rel=1e-5)
+
+
+class TestExtractionGL3:
+    """The smooth window, its weight table and the bilinear lookup at a small
+    height, against the factored formula at the slow test's tolerance."""
+
+    @staticmethod
+    def _want(s_values):
+        """The request at g = 1, M = (1, 1), and its raw coefficient."""
+        p, forms = _borel(3), _trivial_forms(3)
+        s = SpectralPoint(s_values, p)
+        req = FWRequest(p, forms, (1, 1), s, GroupElement.identity(3))
+        completion = completion_factor(p, forms, s, truncation=4000).value
+        return req, fw_formula(req) / completion
+
+    def test_complex_point(self):
+        req, want = self._want((2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j))
+        got = extract_fourier_coefficient(3, req, height=8, quad_nodes=6)
+        assert abs(got - want) <= 5e-2 * abs(want), (got, want)
+
+    def test_real_point_through_cli(self, capsys):
+        # a one-entry GL(3) --m is padded to (m, 1)
+        code = dispatch(["extract", "--partition", "1,1,1", "--s",
+                         "2.4,0.1,-2.5", "--m", "1", "--height", "8",
+                         "--nodes", "6"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["m"] == [1, 1]
+        got = complex(doc["value"]["re"], doc["value"]["im"])
+        _, want = self._want((2.4, 0.1, -2.5))
+        assert abs(got - want) <= 5e-2 * abs(want), (got, want)
 
 
 class TestFWFormula:

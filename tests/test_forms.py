@@ -146,6 +146,24 @@ class TestCompletedL:
         b = lfunction_completed(f, 3.0, truncation=4000)
         assert a.value == pytest.approx(b.value, rel=1e-8)
 
+    @pytest.mark.parametrize("s", [3.0, 3.0 + 2.0j])
+    def test_rankin_selberg_against_euler_product(self, s):
+        # the convolution L(s, f x g) = zeta(2s) sum lambda_f lambda_g n^-s,
+        # stripped of its Gamma prefactor, against the Euler product over
+        # the pairs of Satake parameters
+        f, g = mock_maass_form(2, 1), mock_maass_form(2, 5)
+        pref = mp.pi ** (-2 * s)
+        for a in f.alpha:
+            for b in g.alpha:
+                pref *= mp.gamma((s + a + b) / 2)
+        euler = mp.mpf(1)
+        for p in sorted(f.satake):
+            for a in f.satake[p]:
+                for b in g.satake[p]:
+                    euler /= 1 - a * b * mp.mpf(p) ** (-s)
+        got = rankin_selberg_completed(f, g, s, truncation=4000).value
+        assert got / complex(pref) == pytest.approx(complex(euler), rel=1e-7)
+
     def test_adjoint_positive_real(self):
         for seed in (1, 2, 3):
             f = mock_maass_form(2, seed)
@@ -160,6 +178,17 @@ class TestCompletedL:
         forms = FormSet((const_form(), const_form()))
         val = completion_factor(p, forms, s, truncation=4000)
         assert val.value == pytest.approx(zeta_completed(4.0), rel=1e-8)
+
+    def test_completion_factor_const_first(self):
+        # P = (1, 2), forms (1, phi): the one factor is L*(1 + s1 - s2, phi)
+        p = Partition((1, 2))
+        s = SpectralPoint.from_leading(p, [1.6])
+        phi = mock_maass_form(2, 3)
+        val = completion_factor(p, FormSet((const_form(), phi)), s,
+                                truncation=4000)
+        want = lfunction_completed(phi, 1 + s.values[0] - s.values[1],
+                                   truncation=4000)
+        assert val.value == want.value
 
     def test_poles_raise_pole_error(self):
         with pytest.raises(PoleError):

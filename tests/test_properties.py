@@ -1,5 +1,7 @@
 """Property tests: serialization round trips and algebraic invariances."""
 
+import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ complexes = st.builds(complex, finite, finite)
 def form_specs(draw):
     degree = draw(st.sampled_from((2, 3)))
     head = draw(st.lists(complexes, min_size=degree - 1, max_size=degree - 1))
+    assume(cmath.isfinite(sum(head)))  # a FormSpec rejects an infinite alpha
     primes = st.sampled_from((2, 3, 5, 7, 11, 13))
     return FormSpec(
         name=draw(st.text("mock:0123456789é\"\\", max_size=12)),
@@ -49,17 +52,63 @@ fractions = st.builds(Fraction, st.integers(-10**12, 10**12),
                       st.integers(1, 10**6))
 
 
+affine_maps = st.integers(1, 4).flatmap(lambda r: st.builds(
+    AffineMap,
+    st.lists(st.lists(fractions, min_size=r, max_size=r).map(tuple),
+             min_size=r, max_size=r).map(tuple),
+    st.lists(fractions, min_size=r, max_size=r).map(tuple)))
+
+
 @PROPERTY
-@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
-    st.lists(st.lists(fractions, min_size=r, max_size=r),
-             min_size=r, max_size=r),
-    st.lists(fractions, min_size=r, max_size=r))))
-def test_affine_map_json_round_trip(data):
-    a, b = data
-    mu = AffineMap(tuple(map(tuple, a)), tuple(b))
+@given(affine_maps)
+def test_affine_map_json_round_trip(mu):
     back = affine_map_from_json(affine_map_to_json(mu))
     assert back == mu
     assert all(isinstance(v, Fraction) for row in back.A for v in row)
+
+
+# any JSON value; the integers reach past the float range
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**1100, 2**1100) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def one_field_replaced(draw, documents):
+    """A document from `documents` with the value at one path replaced: the
+    path takes one step down, then each further step with odds 3 to 1."""
+    doc = node = draw(documents)
+    parent = key = None
+    while (isinstance(node, (dict, list)) and node
+           and (parent is None or draw(st.integers(0, 3)) > 0)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    if parent is None:
+        return draw(json_values)
+    parent[key] = draw(json_values)
+    return doc
+
+
+valid_documents = st.one_of(
+    form_specs().map(form_to_json),
+    affine_maps.map(affine_map_to_json)).map(json.loads)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.one_of(json_values, one_field_replaced(valid_documents))
+       .map(json.dumps))
+def test_json_readers_return_or_raise_value_error(text):
+    # both readers take files from outside the program: any other exception
+    # would escape the CLI as a traceback
+    for reader in (form_from_json, affine_map_from_json):
+        try:
+            reader(text)
+        except ValueError:
+            pass
 
 
 @PROPERTY

@@ -169,7 +169,6 @@ class TestEnumeration:
         assert impostor.name == genuine.name
         assert impostor != genuine
         forms = FormSet((genuine, impostor))
-        assert BlockStructure.from_forms(part, forms).sizes == (1, 1)
         assert enumerate_permutation_symmetries(part, forms) == [(0, 1)]
 
     def test_mixed_partition(self):
@@ -229,12 +228,6 @@ class TestJSON:
         assert doc["schema"] == 1
         assert doc["accepted"] is True
         assert doc["permutation"] == [1, 0, 2]
-
-    def test_blocks_from_forms(self):
-        part = Partition((1, 1, 2, 2))
-        phi = mock_maass_form(2, 1)
-        forms = FormSet((const_form(), const_form(), phi, phi))
-        assert BlockStructure.from_forms(part, forms).sizes == (2, 2)
 
 
 class TestValidation:
