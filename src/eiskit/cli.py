@@ -69,10 +69,6 @@ def _fmt(x) -> str:
 def _json_default(o):
     if isinstance(o, complex):
         return {"re": float(o.real), "im": float(o.imag)}
-    if isinstance(o, Fraction):
-        return [o.numerator, o.denominator]
-    if isinstance(o, np.floating):
-        return float(o)
     raise TypeError(repr(o))
 
 

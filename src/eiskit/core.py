@@ -33,6 +33,20 @@ __all__ = [
 SUM_TOL = 1e-12
 
 
+def check_sum_zero(values: Sequence[complex], what: str) -> None:
+    """Raise ValueError unless complex `values` sum to 0 within SUM_TOL.
+
+    The tolerance is relative to the largest real or imaginary part (at
+    least 1).  Sup norms throughout: abs() of a finite complex can overflow;
+    a sum that overflows is rejected.
+    """
+    scale = max(1.0, *(abs(x) for v in values for x in (v.real, v.imag)))
+    total = sum(values)
+    if not (cmath.isfinite(total)
+            and max(abs(total.real), abs(total.imag)) <= SUM_TOL * scale):
+        raise ValueError(f"{what} sum to {total}, not 0")
+
+
 class SingularMatrixError(ValueError):
     """Input matrix is singular (or numerically so)."""
 
@@ -92,9 +106,8 @@ class SpectralPoint:
             raise ValueError(
                 f"expected {self.partition.r} coordinates, got {len(vals)}"
             )
-        total = sum(n * v for n, v in zip(self.partition.parts, vals))
-        if abs(total) > SUM_TOL * max(1.0, max(abs(v) for v in vals)):
-            raise ValueError(f"weighted coordinate sum is {total}, not 0")
+        check_sum_zero([n * v for n, v in zip(self.partition.parts, vals)],
+                       "weighted coordinates")
 
     @classmethod
     def from_leading(
@@ -124,9 +137,7 @@ class LanglandsParameterVec:
     def __post_init__(self):
         entries = tuple(complex(v) for v in self.entries)
         object.__setattr__(self, "entries", entries)
-        scale = max(1.0, max(abs(v) for v in entries))
-        if abs(sum(entries)) > SUM_TOL * scale:
-            raise ValueError(f"parameter entries sum to {sum(entries)}, not 0")
+        check_sum_zero(entries, "parameter entries")
 
 
 @dataclass(frozen=True)

@@ -125,25 +125,12 @@ def _check_series(n: int, s: SpectralPoint, height: int) -> None:
     if n not in (2, 3) or s.partition.parts != (1,) * n:
         raise ValueError("lattice sums cover the Borel series for n = 2, 3")
     for i in range(n - 1):
-        if (s.values[i] - s.values[i + 1]).real <= 1.0:
+        gap = s.values[i] - s.values[i + 1]
+        if not cmath.isfinite(gap):
+            raise ValueError("s_i - s_{i+1} is beyond the float range")
+        if gap.real <= 1.0:
             raise ConvergenceError(
                 "need Re(s_i - s_{i+1}) > 1 for absolute convergence")
-
-
-def _term_exponents(n: int, s: SpectralPoint) -> tuple:
-    """Exponents (e_v, [e_a,] e_det) of the coset term in `_lattice_terms`.
-
-    With lam = s + rho the term is prod_i a_i^lam_i over the Iwasawa
-    diagonal a of M = gamma W, where |v W| = a_n, |a cof(W)| = a_{n-1} a_n
-    and |det W| = a_1 ... a_n; so e_k = (lam_{n+1-k} - lam_{n-k}) / 2 on
-    the squared norms and e_det = lam_1.  Real exponents come back as floats.
-    """
-    lam = [v + float(r) for v, r in zip(s.values, rho_borel(n))]
-    exps = [(lam[n - k] - lam[n - k - 1]) / 2 for k in range(1, n)]
-    exps.append(lam[0])
-    if all(abs(e.imag) < 1e-14 for e in exps):
-        return tuple(e.real for e in exps)
-    return tuple(exps)
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -157,14 +144,39 @@ def _ramp(counts: np.ndarray) -> np.ndarray:
 _V_BLOCK = 1024
 
 
-def _coset_rows_gl3(height: int, height_a: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Plucker rows (v, a) of the GL(3) coset representatives.
+def _primitive_box(height: int, gcd: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-canonical primitive x in Z^3 with |x| <= `height` (sup-norm).
+
+    Returns the vectors, ordered by their raveled index in the box
+    [-height, height]^3, and the table from that raveled index to the
+    vector's position (-1 off the set).
+    """
+    span = np.arange(-height, height + 1, dtype=np.int32)
+    box = np.stack(np.meshgrid(span, span, span, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    ab = np.abs(box)
+    lead = np.where(box[:, 0] != 0, box[:, 0],
+                    np.where(box[:, 1] != 0, box[:, 1], box[:, 2]))
+    keep = (gcd[gcd[ab[:, 0], ab[:, 1]], ab[:, 2]] == 1) & (lead > 0)
+    index = np.full(len(box), -1, np.int32)
+    index[keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
+    return box[keep], index
+
+
+# the pairs depend on the heights only; a few (hv, ha) bound the memory held
+@functools.lru_cache(maxsize=4)
+def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
+    """Plucker rows (v, a) of the GL(3) coset representatives, as index pairs.
 
     Every sign-canonical primitive v with |v| <= `height` (sup-norm), paired
-    with every sign-canonical primitive a with a . v = 0 and |a| <= `height_a`
-    (default `height`).  The lattice sum only needs these two rows of each
-    representative, not its unimodular lift.
+    with every sign-canonical primitive a with a . v = 0 and |a| <= `height_a`.
+    The lattice sum only needs these two rows of each representative, not
+    its unimodular lift, and its terms factor over them.  Returns
+    (V, A, iv, ia, upto): the distinct rows V and A, the int32 index pairs
+    (V[iv], A[ia]) of the cosets in order of coset height max(|v|, |a|), and
+    upto[h], the number of cosets of height <= h.  The arrays are read-only,
+    since the cache shares them.
 
     Let c = |v_k| be the largest entry of v and i < j the other indices.  In
     the coordinates (i, j, k), v-perp in Z^3 has the Hermite basis
@@ -173,12 +185,10 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
     a = x A1 + y A2 is primitive exactly when gcd(x, y) = 1, and the
     half-plane x > 0, or x = 0 < y, holds one a of each +- pair.  For each
     (v, x) the slabs |a_j|, |a_k| <= height_a bound y to an interval, so no
-    candidate is rejected for its size and the work grows with the rows
+    candidate is rejected for its size and the work grows with the pairs
     returned.  Intermediates stay within a few times height * height_a, so
-    int32 serves until the rows are returned as int64.
+    int32 serves throughout.
     """
-    if height_a is None:
-        height_a = height
     ha = height_a
     # |x| <= ha and |y| <= 2 ha index the gcd table as well as |v| <= height
     width = max(height, 2 * ha) + 1
@@ -188,20 +198,16 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
         for r in range(1, m):
             if gcd[r, m] == 1:
                 inv[m, r] = pow(r, -1, m)
-    span = np.arange(-height, height + 1, dtype=np.int32)
-    v_all = np.stack(np.meshgrid(span, span, span, indexing="ij"),
-                     axis=-1).reshape(-1, 3)
-    av = np.abs(v_all)
-    lead = np.where(v_all[:, 0] != 0, v_all[:, 0],
-                    np.where(v_all[:, 1] != 0, v_all[:, 1], v_all[:, 2]))
-    v_all = v_all[(gcd[gcd[av[:, 0], av[:, 1]], av[:, 2]] == 1) & (lead > 0)]
+    v_all, _ = _primitive_box(height, gcd)
+    a_all, a_index = _primitive_box(ha, gcd)
     pivot = np.abs(v_all).argmax(axis=1)
-    vs, avs = [np.empty((0, 3), np.int64)], [np.empty((0, 3), np.int64)]
+    ivs, ias = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     for k in range(3):
         i, j = (c for c in range(3) if c != k)
-        v_k = v_all[pivot == k]
-        for lo in range(0, len(v_k), _V_BLOCK):
-            v = v_k[lo:lo + _V_BLOCK]
+        on_k = np.flatnonzero(pivot == k).astype(np.int32)
+        for lo in range(0, len(on_k), _V_BLOCK):
+            sel = on_k[lo:lo + _V_BLOCK]
+            v = v_all[sel]
             vi, vj, vk = v[:, i], v[:, j], v[:, k]
             c = np.abs(vk)
             g = gcd[np.abs(vj), c]
@@ -236,10 +242,19 @@ def _coset_rows_gl3(height: int, height_a: int | None = None
             # can only be a_k
             flip = (a[:, k] < 0) & ~a[:, :k].any(axis=1)
             np.negative(a, out=a, where=flip[:, None])
-            vs.append(v[r])
-            avs.append(a)
-    return (np.concatenate(vs, dtype=np.int64),
-            np.concatenate(avs, dtype=np.int64))
+            ivs.append(sel[r])
+            ias.append(a_index[np.ravel_multi_index((a + ha).T,
+                                                    (2 * ha + 1,) * 3)])
+    iv, ia = np.concatenate(ivs), np.concatenate(ias)
+    # int16 keys take numpy's linear-time radix sort
+    heights = np.maximum(np.abs(v_all).max(axis=1)[iv],
+                         np.abs(a_all).max(axis=1)[ia]).astype(np.int16)
+    order = np.argsort(heights, kind="stable")
+    upto = np.cumsum(np.bincount(heights, minlength=max(height, ha) + 1))
+    out = (v_all, a_all, iv[order], ia[order], upto)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 # full-weight fraction of the smooth truncation window: a wide transition
@@ -271,40 +286,23 @@ def _combined_weight_table(top: float, cuts: np.ndarray,
     Sampled on a uniform [0, top]^2 grid for bilinear lookup.
     """
     xs = np.linspace(0.0, top, _WEIGHT_NODES)
-    table = np.zeros((_WEIGHT_NODES, _WEIGHT_NODES))
-    for cw, c in zip(cut_weights, cuts):
-        col = _smooth_window(xs / c)
-        table += cw * np.outer(col, col)
-    return table
+    cols = np.array([_smooth_window(xs / c) for c in cuts])
+    return (cols.T * cut_weights) @ cols
 
 
-def _bilinear(table: np.ndarray, top: float, xv: np.ndarray,
-              ya: np.ndarray) -> np.ndarray:
-    scale = (_WEIGHT_NODES - 1) / top
-    fx = np.clip(xv * scale, 0.0, _WEIGHT_NODES - 1.000001)
-    fy = np.clip(ya * scale, 0.0, _WEIGHT_NODES - 1.000001)
+def _bilinear(table: np.ndarray, fx: np.ndarray, fy: np.ndarray
+              ) -> np.ndarray:
+    """Bilinear lookup of `table` at fractional node coordinates (fx, fy)."""
     ix = fx.astype(np.intp)
     iy = fy.astype(np.intp)
-    fx -= ix
-    fy -= iy
+    fx = fx - ix
+    fy = fy - iy
     flat = table.ravel()
     base = ix * _WEIGHT_NODES + iy
     return ((flat[base] * (1 - fx) + flat[base + _WEIGHT_NODES] * fx)
             * (1 - fy)
             + (flat[base + 1] * (1 - fx)
                + flat[base + _WEIGHT_NODES + 1] * fx) * fy)
-
-
-# GL(3) chunks: _TERM_BLOCK (coset, grid point) terms bound the temporaries
-# on small grids; at least 256 cosets amortize the per-chunk calls
-_TERM_BLOCK = 1 << 14
-
-
-def _chunks(rows: tuple[np.ndarray, ...], grid: int):
-    """Stacked Plucker rows in chunks of max(256, _TERM_BLOCK / grid) cosets."""
-    step = max(256, _TERM_BLOCK // grid)
-    return (tuple(r[lo:lo + step] for r in rows)
-            for lo in range(0, len(rows[0]), step))
 
 
 def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -322,84 +320,183 @@ def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_terms(chunks, w_mats: np.ndarray, exps: tuple,
-                   cuts: np.ndarray | None = None,
-                   cut_weights: np.ndarray | None = None):
-    """Coset terms |vW|^2e_v |a cof(W)|^2e_a |det W|^e_det per grid matrix W.
+def _powers(sq: np.ndarray, e, shift) -> np.ndarray:
+    """exp(e log(sq) + shift), in place on `sq` when `e` is real."""
+    logp = np.log(sq, out=sq)
+    logp = np.multiply(logp, e, out=logp if isinstance(e, float) else None)
+    logp += shift
+    return np.exp(logp, out=logp)
 
-    Yields (rows, terms) for each chunk of Plucker rows, (v,) for GL(2) and
-    (v, a) for GL(3), `terms` of shape (chunk, grid); `exps` comes from
-    `_term_exponents`.  For M = gamma W with gamma = [[r1], [r2], [v]]
-    (GL(2): [[r1], [v]]) the row identities
+
+def _row_factors(w_mats: np.ndarray, s: SpectralPoint) -> tuple:
+    """Matrices, exponents and log-shifts of the row factors of a coset term.
+
+    For M = gamma W with gamma = [[r1], [r2], [v]] (GL(2): [[r1], [v]]) the
+    row identities
       |row_n(M)|^2 = |v W|^2,   row2 x row3 = (r2 x v) cof(W) = a cof(W),
       det M = det W
-    mean that only the Plucker data enters, and the per-coset work is real
-    matrix products.
-
-    With `cuts` set (GL(3)), each term carries the convex combination over
-    the cutoff scales c_k, with weights `cut_weights`, of the smooth weights
-    window(|v W| / c_k) * window(|a cof(W)| / c_k).  Both arguments are
-    continuous coset invariants of gamma W, so the weighted full-lattice sum
-    is an exactly 1-periodic C^infinity function of the unipotent coordinates
-    of W -- the property the coefficient quadrature needs.  The caller must
-    enumerate the rows widely enough to cover the window support for every
-    grid matrix.  All scales share the power evaluations (the dominant cost).
+    make the term of the Borel series a product of one power per Plucker
+    row.  With lam = s + rho the term is prod_i a_i^lam_i over the Iwasawa
+    diagonal a of M, where |v W| = a_n, |a cof(W)| = a_{n-1} a_n and
+    |det W| = a_1 ... a_n; so it is P_v Q_a with P_v = |vW|^2e_v |det W|^e_det
+    and Q_a = |a cof(W)|^2e_a, where e_k = (lam_{n+1-k} - lam_{n-k}) / 2 and
+    e_det = lam_1.  Returns ((W, e_v, e_det log|det W|), (cof(W), e_a, 0)),
+    the shifts one per grid matrix W (GL(2): the first only).  Real
+    exponents are floats.
     """
+    n = w_mats.shape[-1]
+    lam = [v + float(r) for v, r in zip(s.values, rho_borel(n))]
+    exps = [(lam[n - k] - lam[n - k - 1]) / 2 for k in range(1, n)] + [lam[0]]
+    if all(abs(e.imag) < 1e-14 for e in exps):
+        exps = [e.real for e in exps]
     *row_exps, e_det = exps
     dets = np.linalg.det(w_mats)
-    # W acts on v, cof(W) = det(W) W^-T on a (GL(2) rows have no a)
-    cof = dets[:, None, None] * np.linalg.inv(w_mats).transpose(0, 2, 1)
-    mats = [w_mats, cof]
-    log_det = np.log(np.abs(dets))
-    if cuts is not None:
-        top = cuts.max()
-        table = _combined_weight_table(top, cuts, cut_weights)
-    for rows in chunks:
-        sqs = [_norm_sq(p, m) for p, m in zip(rows, mats)]
-        lds = log_det
-        if cuts is not None:
-            rad_v, rad_a = np.sqrt(sqs[0]), np.sqrt(sqs[1])
-            mask = (rad_v < top) & (rad_a < top)
-            sqs = [sq[mask] for sq in sqs]
-            lds = np.broadcast_to(log_det, mask.shape)[mask]
-        logp = None
-        for sq, e in zip(sqs, row_exps):  # in place: the arrays are large
-            np.log(sq, out=sq)
-            sq = np.multiply(sq, e, out=sq if isinstance(e, float) else None)
-            logp = sq if logp is None else np.add(logp, sq, out=logp)
-        logp += e_det * lds
-        powers = np.exp(logp, out=logp)
-        if cuts is None:
-            yield rows, powers
-            continue
-        terms = np.zeros(mask.shape, dtype=powers.dtype)
-        terms[mask] = _bilinear(table, top, rad_v[mask], rad_a[mask]) * powers
-        yield rows, terms
+    factors = [(w_mats, row_exps[0], e_det * np.log(np.abs(dets)))]
+    if n == 3:
+        cof = dets[:, None, None] * np.linalg.inv(w_mats).transpose(0, 2, 1)
+        factors.append((cof, row_exps[1], np.zeros(len(w_mats))))
+    return tuple(factors)
+
+
+def _row_powers(w_mats: np.ndarray, s: SpectralPoint, *rows: np.ndarray
+                ) -> list[np.ndarray]:
+    """P for the v `rows` (and Q for the a rows), each (rows, grid)."""
+    return [_powers(_norm_sq(r, mats), e, shift)
+            for r, (mats, e, shift) in zip(rows, _row_factors(w_mats, s))]
+
+
+# index pairs per block of `_pair_sums`: bounds its temporaries
+_SUM_BLOCK = 1 << 14
+
+
+def _pair_sums(p: np.ndarray, q: np.ndarray, iv: np.ndarray, ia: np.ndarray
+               ) -> np.ndarray:
+    """Sum of P[iv] Q[ia] over the index pairs, per grid matrix."""
+    total = np.zeros(p.shape[1], np.result_type(p, q))
+    for lo in range(0, len(iv), _SUM_BLOCK):
+        total += (p[iv[lo:lo + _SUM_BLOCK]]
+                  * q[ia[lo:lo + _SUM_BLOCK]]).sum(axis=0)
+    return total
 
 
 def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice sums S(H) and S(H // 2) over the cosets, per grid matrix.
+    """Lattice sums S(H) and S(H // 2) over the cosets, per grid matrix W.
 
-    One pass: each coset's term is evaluated once and also enters the inner
-    sum when the coset's height (the sup-norm of its Plucker rows) is at
-    most H // 2.  GL(2) sums in the c-blocks of `_coprime_pairs`: its
-    coefficients cancel to ~1e-4 of the series, so their last digits depend
-    on that order.
+    GL(3) evaluates one power per distinct Plucker row (`_row_powers`) and
+    forms each coset term as P[iv] Q[ia].  The inner sum takes the cosets
+    whose height (the sup-norm of their Plucker rows) is at most H // 2: a
+    prefix of the height-ordered pairs.  GL(2) sums in the c-blocks of
+    `_coprime_pairs`: its coefficients cancel to ~1e-4 of the series, so
+    their last digits depend on that order.
     """
-    if n == 2:
-        chunks = ((v,) for v in _coprime_pairs(height))
-    else:
-        chunks = _chunks(_coset_rows_gl3(height), len(w_mats))
     half = height // 2
+    if n == 3:
+        v_rows, a_rows, iv, ia, upto = _coset_pairs_gl3(height, height)
+        p, q = _row_powers(w_mats, s, v_rows, a_rows)
+        cut = upto[half]
+        inner = _pair_sums(p, q, iv[:cut], ia[:cut])
+        return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
     total = inner = 0.0
-    for rows, terms in _lattice_terms(chunks, w_mats, _term_exponents(n, s)):
+    for v in _coprime_pairs(height):
+        terms, = _row_powers(w_mats, s, v)
         # elementwise: a max along the short row axis is several times slower
-        heights = functools.reduce(
-            np.maximum, (np.abs(col) for p in rows for col in p.T))
+        heights = np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1]))
         total = total + terms.sum(axis=0)
         inner = inner + terms[heights <= half].sum(axis=0)
     return total, inner
+
+
+# `_windowed_sums` bounds: (row, grid point) entries per grid slice of its
+# row tables, and (coset, grid point) entries per block of its window test,
+# which near the lattice origin holds a term in nearly every entry
+_TABLE_BLOCK = 1 << 20
+_PAIR_BLOCK = 1 << 19
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of `values` with lengths `counts`.
+
+    np.add.reduceat sums each run pairwise, as np.sum does.
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(len(counts), values.dtype)
+    full = counts > 0
+    if values.size:
+        out[full] = np.add.reduceat(values, starts[full])
+    return out
+
+
+def _pack_rows(flags: np.ndarray) -> np.ndarray:
+    """One uint64 per row of a (rows, <= 64) boolean array, bit j for
+    column j."""
+    out = np.zeros((len(flags), 8), np.uint8)
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    out[:, :packed.shape[1]] = packed
+    return out.view(np.uint64).ravel()
+
+
+def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height_v: int,
+                   height_a: int, cuts: np.ndarray, cut_weights: np.ndarray
+                   ) -> np.ndarray:
+    """Smooth-window GL(3) lattice sum per grid matrix W.
+
+    Each coset term P_v Q_a (`_row_factors`) carries the convex combination
+    over the cutoff scales c_k, with weights `cut_weights`, of the smooth
+    weights window(|v W| / c_k) * window(|a cof(W)| / c_k).  Both arguments
+    are continuous coset invariants of gamma W, so the weighted full-lattice
+    sum is an exactly 1-periodic C^infinity function of the unipotent
+    coordinates of W -- the property the coefficient quadrature needs.  The
+    rows must cover the window support at every grid matrix: |v| <=
+    `height_v` and |a| <= `height_a`.  All scales share the powers.
+
+    The grid is taken in slices of at most 64 points that bound the row
+    tables.  Per slice, P and Q are evaluated where the row's norm is inside
+    the window, one bit per grid point marks those entries, and a coset term
+    is formed where the bits of both rows are set.  Terms are summed per
+    grid point pairwise.
+    """
+    v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(height_v, height_a)
+    top = cuts.max()
+    table = _combined_weight_table(top, cuts, cut_weights)
+    scale = (_WEIGHT_NODES - 1) / top  # radius -> weight table node
+    factors = _row_factors(w_mats, s)
+    step = max(1, min(64, _TABLE_BLOCK // (len(v_rows) + len(a_rows))))
+    block = max(1, _PAIR_BLOCK // step)
+    series = []
+    for lo in range(0, len(w_mats), step):
+        grid = slice(lo, lo + step)
+        width = len(w_mats[grid])
+        tables = []
+        for rows, (mats, e, shift) in zip((v_rows, a_rows), factors):
+            sq = _norm_sq(rows, mats[grid])
+            inside = sq < top * top
+            sq_in = sq[inside]
+            coords = np.zeros(sq.shape)
+            coords[inside] = np.clip(np.sqrt(sq_in) * scale, 0.0,
+                                     _WEIGHT_NODES - 1.000001)
+            power = np.zeros(sq.shape, np.result_type(e, 1.0))
+            power[inside] = _powers(
+                sq_in, e, np.broadcast_to(shift[grid], sq.shape)[inside])
+            tables.append((coords.ravel(), _pack_rows(inside), power.ravel()))
+        (coords_v, bits_v, p), (coords_a, bits_a, q) = tables
+        acc = 0.0
+        for b in range(0, len(iv), block):
+            jv, ja = iv[b:b + block], ia[b:b + block]
+            both = bits_v[jv] & bits_a[ja]
+            hit = np.flatnonzero(both)
+            flags = np.unpackbits(both[hit].view(np.uint8).reshape(-1, 8),
+                                  axis=1, count=width, bitorder="little")
+            # grouped by grid point, for the pairwise sums
+            col, k = np.nonzero(np.ascontiguousarray(flags.T))
+            # flat table indices; below the table size, so int32 is safe
+            at_v = jv[hit[k]] * width + col
+            at_a = ja[hit[k]] * width + col
+            terms = (_bilinear(table, coords_v[at_v], coords_a[at_a])
+                     * p[at_v] * q[at_a])
+            acc = acc + _segment_sums(terms, np.bincount(col, minlength=width))
+        series.append(acc)
+    return np.concatenate(series)
 
 
 def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
@@ -499,9 +596,7 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
         cuts = np.linspace(0.3 * height, float(height), 24)
         cut_weights = np.hanning(len(cuts) + 2)[1:-1]
         cut_weights /= cut_weights.sum()
-        series = sum(terms.sum(axis=0) for _, terms in _lattice_terms(
-            _chunks(_coset_rows_gl3(hv, ha), len(w)), w,
-            _term_exponents(3, request.s), cuts, cut_weights))
+        series = _windowed_sums(w, request.s, hv, ha, cuts, cut_weights)
         value, half = _quadrature(series, phase)
     if half is not None:
         disagreement = abs(value - half) / max(abs(value), 1e-300)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import Partition, SpectralPoint
+from .core import Partition, SpectralPoint, check_sum_zero
 from .specfun import PoleError, gamma_complex, zeta, zeta_completed
 
 __all__ = [
@@ -91,11 +91,7 @@ class FormSpec:
         if not all(cmath.isfinite(v) for v in (*alpha, *self.hecke.values(),
                    *(b for beta in self.satake.values() for b in beta))):
             raise ValueError("alpha, hecke and satake values must be finite")
-        # sup norms: abs() of a finite complex can overflow
-        scale = max(1.0, *(abs(x) for a in alpha for x in (a.real, a.imag)))
-        total = sum(alpha)
-        if max(abs(total.real), abs(total.imag)) > 1e-12 * scale:
-            raise ValueError("alpha entries must sum to 0")
+        check_sum_zero(alpha, "alpha entries")
         if self.degree == 1 and (alpha != (0j,) or self.hecke):
             raise ValueError("degree-1 factor must be the constant function")
 

@@ -267,6 +267,9 @@ class TestUsageErrors:
                         "--height", "3"], "finite"),
         "eval-inf-s": (["eval", "--partition", "1,1", "--s", "inf",
                         "--height", "3"], "finite"),
+        "eval-s-gap-overflows": (["eval", "--partition", "1,1", "--s",
+                                  "1.7e308+1.7e308j", "--height", "3"],
+                                 "float range"),
         "eval-g-wrong-size": (["eval", "--partition", "1,1,1", "--s", "2,0",
                                "--height", "3", "--g", "[[1,0],[0,1]]"],
                               "bad --g"),

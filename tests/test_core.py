@@ -8,6 +8,7 @@ import pytest
 
 from eiskit.core import (
     GroupElement,
+    LanglandsParameterVec,
     Partition,
     SpectralPoint,
     iwasawa,
@@ -77,6 +78,15 @@ class TestSpectralPoint:
             SpectralPoint((bad, -bad), Partition((1, 1)))
         with pytest.raises(ValueError, match="finite"):
             SpectralPoint.from_leading(Partition((1, 1, 1)), [bad, 0.1])
+
+    def test_huge_finite_coordinates(self):
+        # sup norms: abs() of 1.7e308(1 + i) overflows, the point does not;
+        # a weighted sum that overflows is off the hyperplane
+        big = complex(1.7e308, 1.7e308)
+        assert SpectralPoint((big, -big), Partition((1, 1))).values[0] == big
+        assert LanglandsParameterVec((big, -big)).entries[1] == -big
+        with pytest.raises(ValueError, match="not 0"):
+            SpectralPoint((1e308, 1e308), Partition((2, 1)))
 
     def test_permuted_round_trip(self):
         p = Partition((1, 1, 1))

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +24,8 @@ from eiskit.eisenstein import (
     fw_formula,
     scattering_phi,
     _coprime_pairs,
-    _coset_rows_gl3,
-    _lattice_terms,
-    _term_exponents,
+    _coset_pairs_gl3,
+    _row_powers,
 )
 from eiskit.specfun import zeta_completed
 
@@ -36,6 +36,13 @@ def _borel(n):
 
 def _trivial_forms(n):
     return FormSet((const_form(),) * n)
+
+
+def _coset_rows(hv, ha):
+    """The Plucker rows (v, a) of each coset, gathered from the index pairs."""
+    v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(hv, ha)
+    assert iv.dtype == ia.dtype == np.int32
+    return v_rows[iv], a_rows[ia]
 
 
 class TestCosets:
@@ -60,7 +67,7 @@ class TestCosets:
         # every unimodular matrix with bottom row and minor vector within the
         # height bound must land in an enumerated coset
         height = 2
-        vs, avs = _coset_rows_gl3(height)
+        vs, avs = _coset_rows(height, height)
         keys = set(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
         rng = np.random.default_rng(2)
         found = 0
@@ -91,7 +98,7 @@ class TestCosets:
             iv, ia = np.nonzero(vbox @ abox.T == 0)
             expect = {(tuple(v), tuple(a))
                       for v, a in zip(vbox[iv].tolist(), abox[ia].tolist())}
-            vs, avs = _coset_rows_gl3(hv, ha)
+            vs, avs = _coset_rows(hv, ha)
             got = list(zip(map(tuple, vs.tolist()), map(tuple, avs.tolist())))
             assert len(got) == len(set(got))
             assert set(got) == expect
@@ -100,11 +107,28 @@ class TestCosets:
         (12, 12, 147252), (8, 13, 78276), (13, 8, 78276)])
     def test_coset_rows_gl3_counts(self, hv, ha, count):
         # (8, 13) and (13, 8) agree by the v <-> a symmetry of the pairs
-        vs, avs = _coset_rows_gl3(hv, ha)
+        vs, avs = _coset_rows(hv, ha)
         assert len(vs) == len(avs) == count
         assert len(np.unique(np.concatenate((vs, avs), axis=1),
                              axis=0)) == count
         assert not (vs * avs).sum(axis=1).any()
+
+    def test_coset_pairs_in_height_order(self):
+        # distinct rows; pairs in order of height max(|v|, |a|), with
+        # upto[h] cosets of height <= h, so S(H // 2) sums a prefix
+        v_rows, a_rows, iv, ia, upto = _coset_pairs_gl3(9, 6)
+        for rows in (v_rows, a_rows):
+            assert len(np.unique(rows, axis=0)) == len(rows)
+        heights = np.maximum(np.abs(v_rows).max(axis=1)[iv],
+                             np.abs(a_rows).max(axis=1)[ia])
+        assert (np.diff(heights) >= 0).all()
+        assert upto.tolist() == [np.count_nonzero(heights <= h)
+                                 for h in range(10)]
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in _coset_pairs_gl3(4, 4):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 class TestLatticeKernel:
@@ -126,10 +150,10 @@ class TestLatticeKernel:
                                       zip(s.values, rho_borel(n))), borel)
             rows = ((gamma[-1:],) if n == 2 else
                     (gamma[-1:], np.cross(gamma[1], gamma[2])[None]))
-            (_, terms), = _lattice_terms([rows], g[None],
-                                         _term_exponents(n, s))
+            # one factor per Plucker row, P[iv] Q[ia] with iv = ia = 0
+            term = np.prod([f[0, 0] for f in _row_powers(g[None], s, *rows)])
             want = power_function(borel, lam, GroupElement(gamma @ g))
-            assert abs(terms[0, 0] - want) <= 1e-11 * abs(want)
+            assert abs(term - want) <= 1e-11 * abs(want)
 
 
 class TestEval:
@@ -189,6 +213,17 @@ class TestEval:
         v1, t1 = eval_eisenstein(3, g, s, 10)
         v2, t2 = eval_eisenstein(3, GroupElement(gamma @ g.entries), s, 10)
         assert abs(v1 - v2) <= 2 * (t1 + t2)
+
+    def test_gl3_cold_and_warm_cache_agree(self):
+        # the cached index pairs give the bits of a fresh enumeration
+        s = SpectralPoint((2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j), _borel(3))
+        g = GroupElement(np.array([[1.0, 0.3, -0.2], [0.0, 1.0, 0.1],
+                                   [0.0, 0.0, 1.0]]) @ np.diag([1.3, 1, 0.9]))
+        _coset_pairs_gl3.cache_clear()
+        cold = eval_eisenstein(3, g, s, 9)
+        assert _coset_pairs_gl3.cache_info().currsize == 1
+        assert eval_eisenstein(3, g, s, 9) == cold
+        assert _coset_pairs_gl3.cache_info().hits >= 1
 
     def test_gl3_height_consistency(self):
         s = SpectralPoint((2, 0, -2), _borel(3))
@@ -261,6 +296,35 @@ class TestClosedForms:
             right = (zeta_completed(-2 * s1 + 1)
                      * closed_form_fourier_gl2(m, -s1, y))
             assert abs(left - right) <= 1e-8 * max(abs(left), 1.0)
+
+
+class TestGL2RecordedValues:
+    """GL(2) sums against the values the benchmark records.
+
+    The GL(2) coefficients cancel to ~1e-4 of the series, so their last
+    digits depend on the summation order (the 200-wide c-blocks of
+    `_coprime_pairs`); the benchmark holds them to 1e-12 relative.
+    """
+
+    RECORDED = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                           / "reference_values.json").read_text())["gl2"]
+    ARGV = {
+        "extract-gl2-readme": ["extract", "--partition", "1,1", "--s",
+                               "1.5,-1.5", "--m", "1", "--height", "500",
+                               "--nodes", "64"],
+        "extract-gl2-s2-m2": ["extract", "--partition", "1,1", "--s", "2",
+                              "--m", "2", "--height", "500", "--nodes", "64"],
+        "eval-gl2-readme": ["eval", "--partition", "1,1", "--s", "1.5,-1.5",
+                            "--height", "100"],
+    }
+
+    @pytest.mark.parametrize("op", ARGV)
+    def test_matches_recorded_value(self, capsys, op):
+        assert dispatch(self.ARGV[op]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = complex(doc["value"]["re"], doc["value"]["im"])
+        want = complex(*self.RECORDED[op])
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 class TestExtractionGL2:
