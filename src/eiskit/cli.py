@@ -448,6 +448,9 @@ def dispatch(argv: list[str]) -> int:
             PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a height or node count too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

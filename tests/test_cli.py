@@ -2,9 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from eiskit import cli
 from eiskit.cli import dispatch
+from eiskit.core import GroupElement, Partition, SpectralPoint
+from eiskit.eisenstein import (FWRequest, eval_eisenstein,
+                               extract_fourier_coefficient)
+from eiskit.forms import FormSet, const_form
 from eiskit.uniqueness import AffineMap, affine_map_to_json
 
 
@@ -175,6 +181,35 @@ class TestOutputs:
         assert_usage_error(code, err)
         assert "node-doubling" in err
 
+    @pytest.mark.parametrize("s, g", [
+        ("1.5+0.2j", [[0.8, 0.3], [0.1, 1.4]]),
+        ("2.2,0.1", [[1.2, 0.3, -0.1], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]])])
+    def test_eval_with_g_matches_library(self, capsys, s, g):
+        n = len(g)
+        code, out, _ = run(capsys, "eval", "--partition", ",".join("1" * n),
+                           "--s", s, "--height", "8", "--g", json.dumps(g))
+        assert code == 0
+        doc = json.loads(out)
+        point = SpectralPoint.from_leading(
+            Partition((1,) * n), [complex(v) for v in s.split(",")])
+        value, tail = eval_eisenstein(n, GroupElement(np.array(g)), point, 8)
+        assert doc["value"] == {"re": value.real, "im": value.imag}
+        assert doc["tail_bound"] == tail
+
+    def test_extract_with_g_matches_library(self, capsys):
+        g = [[0.9, 0.2], [0.0, 1 / 0.9]]
+        code, out, _ = run(capsys, "extract", "--partition", "1,1", "--s",
+                           "1.5", "--m", "1", "--height", "50", "--nodes",
+                           "16", "--g", json.dumps(g))
+        assert code == 0
+        p = Partition((1, 1))
+        req = FWRequest(p, FormSet((const_form(),) * 2), (1,),
+                        SpectralPoint.from_leading(p, [1.5]),
+                        GroupElement(np.array(g)))
+        value = extract_fourier_coefficient(2, req, height=50, quad_nodes=16)
+        assert json.loads(out)["value"] == {"re": value.real,
+                                            "im": value.imag}
+
     def test_extract_matches_eval_pipeline(self, capsys):
         code, out, _ = run(capsys, "extract", "--partition", "1,1",
                            "--s", "1.5,-1.5", "--m", "1", "--height", "100",
@@ -229,6 +264,12 @@ class TestSelftest:
         assert all(c["passed"] for c in doc["checks"])
 
 
+GL2_OVERFLOW = ["eval", "--partition", "1,1", "--s", "600", "--height", "3",
+                "--g", "[[0.5,0],[0,2]]"]
+GL3_OVERFLOW = ["eval", "--partition", "1,1,1", "--s", "300,0", "--height",
+                "3", "--g", "[[0.1,0,0],[0,1,0],[0,0,10]]"]
+
+
 class TestUsageErrors:
     """Every bad command line exits 2 with one stderr line, no traceback."""
 
@@ -276,8 +317,21 @@ class TestUsageErrors:
         "extract-g-wrong-size": (["extract", "--partition", "1,1", "--s",
                                   "1.5", "--m", "1", "--height", "5", "--g",
                                   "[[1,0,0],[0,1,0],[0,0,1]]"], "bad --g"),
+        # finite s and g whose powers overflow the float range
+        "eval-gl2-sum-overflows": (GL2_OVERFLOW, "overflows"),
+        "eval-gl3-sum-overflows": (GL3_OVERFLOW, "overflows"),
+        "extract-gl2-sum-overflows": (
+            ["extract", *GL2_OVERFLOW[1:], "--m", "1", "--nodes", "4"],
+            "overflows"),
+        # at GL3_OVERFLOW's g the window cover is |v|, |a| <= 30: 10 s
+        "extract-gl3-sum-overflows": (
+            ["extract", "--partition", "1,1,1", "--s", "600,0", "--height",
+             "3", "--g", "[[0.5,0,0],[0,1,0],[0,0,2]]", "--m", "1",
+             "--nodes", "4"], "overflows"),
     }
 
+    # a RuntimeWarning is a second stderr line outside pytest
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", CASES)
     def test_exits_2_with_one_line(self, capsys, case):
         argv, needle = self.CASES[case]
@@ -324,6 +378,22 @@ class TestUsageErrors:
         path.write_text(text)
         code, out, err = run(capsys, *(str(path) if a == "FILE" else a
                                        for a in argv))
+        assert_usage_error(code, err)
+        assert needle in err
+        assert out == ""
+
+    # a height or node count beyond memory, without allocating: numpy says
+    # "Unable to allocate 14.6 TiB ..." for eval --height 1000000000000
+    @pytest.mark.parametrize("exc, needle", [
+        (MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate"),
+        (MemoryError(), "out of memory")])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, exc, needle):
+        def allocate(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "eval_eisenstein", allocate)
+        code, out, err = run(capsys, "eval", "--partition", "1,1", "--s",
+                             "1.5", "--height", "5")
         assert_usage_error(code, err)
         assert needle in err
         assert out == ""

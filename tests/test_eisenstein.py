@@ -26,6 +26,7 @@ from eiskit.eisenstein import (
     _coprime_pairs,
     _coset_pairs_gl3,
     _row_powers,
+    _windowed_sums,
 )
 from eiskit.specfun import zeta_completed
 
@@ -377,8 +378,26 @@ class TestExtractionGL2:
 
 
 class TestExtractionGL3:
-    """The smooth window, its weight table and the bilinear lookup at a small
-    height, against the factored formula at the slow test's tolerance."""
+    """The smooth-window sum at a small height: its periodicity in the
+    unipotent coordinates, and the extracted coefficient, with the window
+    band F folded into the row factors, against the factored formula at the
+    slow test's tolerance."""
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (0, 2)])
+    def test_windowed_sum_is_periodic(self, i, j):
+        # W -> n W with n an integer unipotent permutes the cosets and keeps
+        # |vW| and |a cof(W)|, so the window weights move with the terms:
+        # the sum at u g and at n u g agree up to summation order.  One call
+        # takes both matrices, so its rows cover the window at each.
+        rng = np.random.default_rng(10 * i + j)
+        u = np.eye(3)
+        u[0, 1], u[1, 2], u[0, 2] = rng.uniform(-0.5, 0.5, 3)
+        n = np.eye(3)
+        n[i, j] = 1.0
+        w = u @ np.diag([1.2, 1.0, 1 / 1.2])
+        s = SpectralPoint((2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j), _borel(3))
+        at_w, at_nw = _windowed_sums(np.stack([w, n @ w]), s, 4)
+        assert abs(at_w - at_nw) <= 1e-12 * abs(at_w), (at_w, at_nw)
 
     @staticmethod
     def _want(s_values):
