@@ -26,7 +26,6 @@ __all__ = [
     "FWRequest",
     "FEReport",
     "ConvergenceError",
-    "canonical_coset_form",
     "eval_eisenstein",
     "closed_form_fourier_gl2",
     "scattering_phi",
@@ -78,26 +77,6 @@ class FEReport:
 
 
 # ------------------------------- cosets --------------------------------------
-
-
-def _sign_canonical(v: tuple[int, ...]) -> tuple[int, ...]:
-    for c in v:
-        if c != 0:
-            return v if c > 0 else tuple(-x for x in v)
-    return v
-
-
-def canonical_coset_form(matrix: np.ndarray) -> tuple:
-    """Key of the coset of `matrix` under integer upper-triangular matrices.
-
-    Invariant under left multiplication by any upper-triangular matrix in
-    GL(n, Z), the group the lattice sums quotient by.
-    """
-    m = np.asarray(matrix, dtype=np.int64)
-    v = _sign_canonical(tuple(int(x) for x in m[-1]))
-    if len(m) == 2:
-        return v
-    return (v, _sign_canonical(tuple(int(x) for x in np.cross(m[1], m[2]))))
 
 
 def _coprime_pairs(height: int):
@@ -373,6 +352,19 @@ def _pair_sums(p: np.ndarray, q: np.ndarray, iv: np.ndarray, ia: np.ndarray
     return total
 
 
+# (row, grid point) entries per chunk of a GL(2) c-block in `_shell_sums`:
+# keeps its tables in cache
+_ROW_ENTRIES = 1 << 16
+
+
+def _carry_sum(carry: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
+    """carry + the rows of `terms`, added one after another; no carry for
+    the first chunk of a block."""
+    if carry is None:
+        return terms.sum(axis=0)
+    return np.vstack((carry, terms)).sum(axis=0)
+
+
 def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Lattice sums S(H) and S(H // 2) over the cosets, per grid matrix W.
@@ -380,9 +372,21 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     GL(3) evaluates one power per distinct Plucker row (`_row_powers`) and
     forms each coset term as P[iv] Q[ia].  The inner sum takes the cosets
     whose height (the sup-norm of their Plucker rows) is at most H // 2: a
-    prefix of the height-ordered pairs.  GL(2) sums in the c-blocks of
-    `_coprime_pairs`: its coefficients cancel to ~1e-4 of the series, so
-    their last digits depend on that order.
+    prefix of the height-ordered pairs.
+
+    GL(2) coefficients cancel to ~1e-4 of the series, so their last digits
+    depend on the summation order, and that order is fixed: each c-block of
+    `_coprime_pairs` is summed on its own and added to the running total.
+    Inside a block, numpy's sum(axis=0) of a (rows, width >= 2) table adds
+    the rows one after another, in enumeration order.  The block is taken in
+    chunks of at most `_ROW_ENTRIES` = 2^16 (row, grid point) entries (1024
+    rows at 64 grid points, 0.5 MB per real table), and each chunk's
+    table carries the block's running sum as its first row, so the chunked
+    sum adds the same numbers in the same order as one whole-block table.
+    The inner sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is
+    carried the same way.  A single grid matrix (width 1) is summed
+    pairwise, which chunks would reorder, so its blocks stay whole; their
+    table is one column.
     """
     half = height // 2
     if n == 3:
@@ -391,13 +395,21 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         cut = upto[half]
         inner = _pair_sums(p, q, iv[:cut], ia[:cut])
         return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
+    (mats, e, shift), = _row_factors(w_mats, s)
+    width = len(w_mats)
     total = inner = 0.0
     for v in _coprime_pairs(height):
-        terms, = _row_powers(w_mats, s, v)
+        step = max(1, _ROW_ENTRIES // width) if width > 1 else len(v)
         # elementwise: a max along the short row axis is several times slower
         heights = np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1]))
-        total = total + terms.sum(axis=0)
-        inner = inner + terms[heights <= half].sum(axis=0)
+        block = block_inner = None
+        for lo in range(0, len(v), step):
+            terms = _powers(_norm_sq(v[lo:lo + step], mats), e, shift)
+            block = _carry_sum(block, terms)
+            block_inner = _carry_sum(
+                block_inner, terms[heights[lo:lo + step] <= half])
+        total = total + block
+        inner = inner + block_inner
     return total, inner
 
 
@@ -566,12 +578,16 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
             # the height cutoff biases each coefficient by ~ C * H^(1-2 s1),
             # so S(H // 2) carries about 2^(2 s1 - 1) times the bias of S(H);
             # a two-height extrapolation with that ratio, complex for complex
-            # s1, cancels it
+            # s1, cancels it.  A ratio beyond the float range leaves the
+            # value as it is, the limit of the extrapolation as r -> inf
             series, inner = _shell_sums(2, w, request.s, height)
             value, half = _quadrature(series, phase)
-            if height >= 8:
-                v_lo, _ = _quadrature(inner, phase)
+            try:
                 r = 2.0 ** (2.0 * request.s.values[0] - 1.0)
+            except OverflowError:
+                r = None
+            if height >= 8 and r is not None:
+                v_lo, _ = _quadrature(inner, phase)
                 value = (r * value - v_lo) / (r - 1.0)
                 if half is not None:
                     half = (r * half - v_lo) / (r - 1.0)

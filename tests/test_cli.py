@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ class TestOutputs:
         assert_usage_error(code, err)
         assert "node-doubling" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extract_gl2_ratio_beyond_float_range(self, capsys):
+        # the extrapolation ratio 2^(2 s1 - 1) overflows at s1 = 600; the
+        # value is then its limit, the plain quadrature mean (5 nodes: no
+        # half grid, so no node-doubling diagnostic)
+        code, out, err = run(capsys, "extract", "--partition", "1,1", "--s",
+                             "600", "--height", "10", "--m", "1", "--nodes",
+                             "5")
+        assert code == 0
+        assert err == ""
+        # json.loads rejects anything after the first document
+        value = json.loads(out)["value"]
+        assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+
     @pytest.mark.parametrize("s, g", [
         ("1.5+0.2j", [[0.8, 0.3], [0.1, 1.4]]),
         ("2.2,0.1", [[1.2, 0.3, -0.1], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]])])
@@ -323,6 +338,11 @@ class TestUsageErrors:
         "extract-gl2-sum-overflows": (
             ["extract", *GL2_OVERFLOW[1:], "--m", "1", "--nodes", "4"],
             "overflows"),
+        # past the float range of the extrapolation ratio (s1 = 600) the
+        # 4-node quadrature cannot resolve the peaked integrand
+        "extract-gl2-ratio-overflows": (
+            ["extract", "--partition", "1,1", "--s", "600", "--height", "10",
+             "--m", "1", "--nodes", "4"], "node-doubling"),
         # at GL3_OVERFLOW's g the window cover is |v|, |a| <= 30: 10 s
         "extract-gl3-sum-overflows": (
             ["extract", "--partition", "1,1,1", "--s", "600,0", "--height",

@@ -1,9 +1,11 @@
 """Lattice-sum evaluation, Fourier extraction, and FE checks."""
 
 import cmath
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,6 @@ from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.eisenstein import (
     ConvergenceError,
     FWRequest,
-    canonical_coset_form,
     check_functional_equation,
     closed_form_fourier_gl2,
     eval_eisenstein,
@@ -26,9 +27,13 @@ from eiskit.eisenstein import (
     _coprime_pairs,
     _coset_pairs_gl3,
     _row_powers,
+    _shell_sums,
+    _unipotent_grid,
     _windowed_sums,
 )
 from eiskit.specfun import zeta_completed
+
+from coset_key import canonical_coset_form
 
 
 def _borel(n):
@@ -326,6 +331,81 @@ class TestGL2RecordedValues:
         got = complex(doc["value"]["re"], doc["value"]["im"])
         want = complex(*self.RECORDED[op])
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+class TestGL2SumBits:
+    """The GL(2) shell sums S(H) and S(H // 2), bit for bit.
+
+    `_shell_sums` takes each 200-wide c-block of `_coprime_pairs` in row
+    chunks of `_ROW_ENTRIES` (row, grid point) entries.  The pins were
+    recorded from whole-block tables, before the chunking: each is a
+    SHA-256 prefix of the bytes of both sums and the float.hex of the real
+    part of their first entries.  The bits also depend on numpy's exp and
+    log, which differ between its SIMD paths; the whole-block comparison
+    checks the summation order on any machine.
+    """
+
+    G = [[1.3, 0.4], [0.2, 0.9]]
+    # (nodes, H, s1, g): (digest, hex of S(H)[0], hex of S(H // 2)[0]).
+    # after the (0, 1) block, 64 nodes at H = 500 take 300 chunks in 3
+    # c-blocks and 7 nodes at H = 450 take 28; a single grid matrix (the
+    # eval path) keeps each block whole, 2 blocks at H = 100 and 4 at 600
+    PINS = {
+        (64, 500, 2.0, None): ("9f649194b5889117", "0x1.2a2e2b5956d7dp+1",
+                               "0x1.2a2e2b1793b03p+1"),
+        (7, 450, 1.1 + 0.5j, "G"): ("c4a80cf42a6884f8",
+                                    "0x1.71e14274a9849p+1",
+                                    "0x1.71bf21fcb4c2ep+1"),
+        (1, 100, 1.5, "diag"): ("b1b27389f5f67e77", "0x1.75438476363e3p+1",
+                                "0x1.753bd58c0fb32p+1"),
+        (1, 600, 1.5, "diag"): ("0ac9ef4d2ae8b1e7", "0x1.75461113c9e85p+1",
+                                "0x1.7545d92d0dfa1p+1"),
+    }
+
+    def _grid(self, nodes, g):
+        g = {None: np.eye(2), "G": np.array(self.G),
+             "diag": np.diag([1.1, 1 / 1.1])}[g]
+        return g[None] if nodes == 1 else _unipotent_grid(2, nodes, g, (1,))[0]
+
+    @pytest.mark.parametrize("case", PINS)
+    def test_recorded_bits(self, case):
+        nodes, height, s1, g = case
+        s = SpectralPoint((s1, -s1), _borel(2))
+        total, inner = _shell_sums(2, self._grid(nodes, g), s, height)
+        digest = hashlib.sha256(total.tobytes() + inner.tobytes())
+        got = (digest.hexdigest()[:16], total.view(float)[0].hex(),
+               inner.view(float)[0].hex())
+        assert got == self.PINS[case]
+
+    @pytest.mark.parametrize("case", [*PINS, (2, 300, 1.5, "G")])
+    def test_same_order_as_whole_blocks(self, case):
+        # one (rows, grid) table per c-block, each summed by numpy at once
+        nodes, height, s1, g = case
+        w = self._grid(nodes, g)
+        s = SpectralPoint((s1, -s1), _borel(2))
+        total = inner = 0.0
+        for v in _coprime_pairs(height):
+            terms, = _row_powers(w, s, v)
+            total = total + terms.sum(axis=0)
+            inner = inner + terms[np.abs(v).max(axis=1) <= height // 2].sum(
+                axis=0)
+        got_total, got_inner = _shell_sums(2, w, s, height)
+        assert np.array_equal(got_total, total)
+        assert np.array_equal(got_inner, inner)
+
+    def test_extraction_peak_memory(self):
+        # the README extraction: whole c-blocks held three (rows x 64)
+        # tables of ~61 MB each, a traced peak near 190 MB
+        req = FWRequest(_borel(2), _trivial_forms(2), (1,),
+                        SpectralPoint((1.5, -1.5), _borel(2)),
+                        GroupElement.identity(2))
+        tracemalloc.start()
+        try:
+            extract_fourier_coefficient(2, req, height=500, quad_nodes=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
 
 
 class TestExtractionGL2:

@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eiskit.core import GroupElement, Partition, SpectralPoint, iwasawa
-from eiskit.eisenstein import canonical_coset_form
 from eiskit.forms import (FormSet, FormSpec, const_form, form_from_json,
                           form_to_json, mock_maass_form)
 from eiskit.hecke import eis_hecke_eigenvalue
 from eiskit.uniqueness import AffineMap, affine_map_from_json, affine_map_to_json
+
+from coset_key import canonical_coset_form
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
