@@ -247,8 +247,10 @@ def _cmd_extract(args) -> int:
     nodes = args.nodes if args.nodes is not None else (64 if n == 2 else 24)
     value = extract_fourier_coefficient(
         n, request, height=args.height, quad_nodes=nodes)
+    # an odd node count has no half grid, so no node-doubling diagnostic ran
     report = {"command": "extract", "m": list(m), "height": args.height,
-              "nodes": nodes, "value": value}
+              "nodes": nodes, "node_doubling": nodes % 2 == 0,
+              "value": value}
     rows = [{"m": ",".join(str(v) for v in m), "height": args.height,
              "nodes": nodes, "re": value.real, "im": value.imag}]
     _emit(report, rows, args)

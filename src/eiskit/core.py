@@ -150,6 +150,8 @@ class GroupElement:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if abs(np.linalg.det(m)) < 1e-300:
             raise SingularMatrixError("matrix is singular")
         m.setflags(write=False)

@@ -413,33 +413,31 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     return total, inner
 
 
-# `_windowed_sums` bounds: (row, grid point) entries per grid slice of its
-# row tables, and (coset, grid point) entries per block of its window test,
-# which near the lattice origin holds a term in nearly every entry
+# `_windowed_sums` slices the grid so that each slice's row tables hold at
+# most `_TABLE_BLOCK` (row, grid point) entries.  Its cap of 64 grid points
+# per slice bounds the two (`_SUM_BLOCK`, width) temporaries of `_pair_sums`
+# to 17 MB each of complex terms: at a small H the row tables alone would
+# allow slices of over 1000 points and temporaries of hundreds of MB
 _TABLE_BLOCK = 1 << 20
-_PAIR_BLOCK = 1 << 19
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of the consecutive runs of `values` with lengths `counts`.
+def _window_powers(rows: np.ndarray, mats: np.ndarray, e, shift: np.ndarray,
+                   height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row powers times F(|p M| / H) (`_row_powers`), 0 outside the
+    window, and whether each row is inside it at some grid matrix.
 
-    np.add.reduceat sums each run pairwise, as np.sum does.
+    Its temporaries are freed on return, before `_pair_sums` allocates its
+    own.
     """
-    starts = np.cumsum(counts) - counts
-    out = np.zeros(len(counts), values.dtype)
-    full = counts > 0
-    if values.size:
-        out[full] = np.add.reduceat(values, starts[full])
-    return out
-
-
-def _pack_rows(flags: np.ndarray) -> np.ndarray:
-    """One uint64 per row of a (rows, <= 64) boolean array, bit j for
-    column j."""
-    out = np.zeros((len(flags), 8), np.uint8)
-    packed = np.packbits(flags, axis=1, bitorder="little")
-    out[:, :packed.shape[1]] = packed
-    return out.view(np.uint64).ravel()
+    sq = _norm_sq(rows, mats)
+    inside = sq < height * height
+    sq_in = sq[inside]
+    xs, band = _window_band()
+    weight = np.interp(np.sqrt(sq_in) / height, xs, band)
+    power = np.zeros(sq.shape, np.result_type(e, 1.0))
+    power[inside] = weight * _powers(
+        sq_in, e, np.broadcast_to(shift, sq.shape)[inside])
+    return inside.any(axis=1), power
 
 
 def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
@@ -453,52 +451,34 @@ def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
     1-periodic C^infinity function of the unipotent coordinates of W -- the
     property the coefficient quadrature needs.  The rows are enumerated wide
     enough to cover the window support at every grid matrix:
-    |v| <= H / sigma_min(W) and |a| <= H sigma_max(W) / |det W|.
+    |v| <= H / sigma_min(W) and |a| <= H sigma_max(W) / |det W|.  A cover
+    beyond the float range raises ValueError.
 
-    The grid is taken in slices of at most 64 points that bound the row
-    tables.  Per slice, the weighted powers P' = P F and Q' = Q F are
-    evaluated where the row's norm is inside the window, one bit per grid
-    point marks those entries, and a coset term P'[iv] Q'[ia] is formed
-    where the bits of both rows are set.  Terms are summed per grid point
-    pairwise.
+    Per slice of the grid, the weighted powers P' = P F and Q' = Q F are
+    evaluated where the row's norm is inside the window and are 0 elsewhere.
+    The terms P'[iv] Q'[ia] are summed by `_pair_sums`, as in `eval`, over
+    the cosets whose two rows are both inside the window at some grid point
+    of the slice; every other term is 0 throughout the slice.
     """
     svals = np.linalg.svd(w_mats, compute_uv=False)
     dets = np.abs(np.linalg.det(w_mats))
-    height_v = int(math.ceil(height / svals[:, 2].min()))
-    height_a = int(math.ceil(height * (svals[:, 0] / dets).max()))
-    v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(height_v, height_a)
-    xs, band = _window_band()
+    cover_v = height / svals[:, 2].min()
+    cover_a = height * (svals[:, 0] / dets).max()
+    if not (math.isfinite(cover_v) and math.isfinite(cover_a)):
+        raise ValueError("the window cover is beyond the float range: "
+                         "g is too ill-conditioned")
+    v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(int(math.ceil(cover_v)),
+                                                 int(math.ceil(cover_a)))
     factors = _row_factors(w_mats, s)
     step = max(1, min(64, _TABLE_BLOCK // (len(v_rows) + len(a_rows))))
-    block = max(1, _PAIR_BLOCK // step)
     series = []
     for lo in range(0, len(w_mats), step):
         grid = slice(lo, lo + step)
-        width = len(w_mats[grid])
-        tables = []
-        for rows, (mats, e, shift) in zip((v_rows, a_rows), factors):
-            sq = _norm_sq(rows, mats[grid])
-            inside = sq < height * height
-            sq_in = sq[inside]
-            weight = np.interp(np.sqrt(sq_in) / height, xs, band)
-            power = np.zeros(sq.shape, np.result_type(e, 1.0))
-            power[inside] = weight * _powers(
-                sq_in, e, np.broadcast_to(shift[grid], sq.shape)[inside])
-            tables.append((_pack_rows(inside), power.ravel()))
-        (bits_v, p), (bits_a, q) = tables
-        acc = 0.0
-        for b in range(0, len(iv), block):
-            jv, ja = iv[b:b + block], ia[b:b + block]
-            both = bits_v[jv] & bits_a[ja]
-            hit = np.flatnonzero(both)
-            flags = np.unpackbits(both[hit].view(np.uint8).reshape(-1, 8),
-                                  axis=1, count=width, bitorder="little")
-            # grouped by grid point, for the pairwise sums
-            col, k = np.nonzero(np.ascontiguousarray(flags.T))
-            # flat table indices; below the table size, so int32 is safe
-            terms = p[jv[hit[k]] * width + col] * q[ja[hit[k]] * width + col]
-            acc = acc + _segment_sums(terms, np.bincount(col, minlength=width))
-        series.append(acc)
+        (near_v, p), (near_a, q) = (
+            _window_powers(rows, mats[grid], e, shift[grid], height)
+            for rows, (mats, e, shift) in zip((v_rows, a_rows), factors))
+        near = near_v[iv] & near_a[ia]
+        series.append(_pair_sums(p, q, iv[near], ia[near]))
     return np.concatenate(series)
 
 
@@ -514,8 +494,9 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
     _check_series(n, s, height)
     if g.n != n:
         raise ValueError(f"g is {g.n} x {g.n}, expected {n} x {n}")
-    # an overflowing power makes the sums, and so the tail, inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing power, or a row norm that underflows to 0, makes the
+    # sums, and so the tail, inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         total, inner = _shell_sums(n, g.entries[np.newaxis].astype(float), s,
                                    height)
         tail = abs(total[0] - inner[0])
@@ -572,8 +553,9 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
         raise ValueError(f"quad_nodes must be >= 1, got {quad_nodes}")
     w, phase = _unipotent_grid(n, quad_nodes, request.g.entries.astype(float),
                                request.M)
-    # an overflowing power makes the value inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing power, or a row norm that underflows to 0, makes the
+    # value inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n == 2:
             # the height cutoff biases each coefficient by ~ C * H^(1-2 s1),
             # so S(H // 2) carries about 2^(2 s1 - 1) times the bias of S(H);

@@ -196,6 +196,16 @@ class TestOutputs:
         value = json.loads(out)["value"]
         assert math.isfinite(value["re"]) and math.isfinite(value["im"])
 
+    @pytest.mark.parametrize("nodes", [3, 4])
+    def test_extract_reports_node_doubling(self, capsys, nodes):
+        # only an even node count has the half grid the diagnostic compares;
+        # a few nodes resolve the constant term (m = 0)
+        code, out, _ = run(capsys, "extract", "--partition", "1,1", "--s",
+                           "1.5", "--m", "0", "--height", "10", "--nodes",
+                           str(nodes))
+        assert code == 0
+        assert json.loads(out)["node_doubling"] is (nodes == 4)
+
     @pytest.mark.parametrize("s, g", [
         ("1.5+0.2j", [[0.8, 0.3], [0.1, 1.4]]),
         ("2.2,0.1", [[1.2, 0.3, -0.1], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]])])
@@ -283,6 +293,11 @@ GL2_OVERFLOW = ["eval", "--partition", "1,1", "--s", "600", "--height", "3",
                 "--g", "[[0.5,0],[0,2]]"]
 GL3_OVERFLOW = ["eval", "--partition", "1,1,1", "--s", "300,0", "--height",
                 "3", "--g", "[[0.1,0,0],[0,1,0],[0,0,10]]"]
+# sigma_min of u g underflows to 0: the GL(3) window cover is infinite
+ILL_CONDITIONED = "[[1e200,0,0],[0,1,0],[0,0,1e-200]]"
+GL3_EXTRACT = ["extract", "--partition", "1,1,1", "--s", "2,0,-2", "--m",
+               "1", "--height", "4", "--nodes", "2"]
+GL3_EVAL = ["eval", "--partition", "1,1,1", "--s", "2,0,-2", "--height", "4"]
 
 
 class TestUsageErrors:
@@ -348,6 +363,21 @@ class TestUsageErrors:
             ["extract", "--partition", "1,1,1", "--s", "600,0", "--height",
              "3", "--g", "[[0.5,0,0],[0,1,0],[0,0,2]]", "--m", "1",
              "--nodes", "4"], "overflows"),
+        "extract-gl3-g-ill-conditioned": (
+            [*GL3_EXTRACT, "--g", ILL_CONDITIONED], "ill-conditioned"),
+        # a row norm that underflows to 0 has log -inf: no warning
+        "eval-gl3-g-ill-conditioned": ([*GL3_EVAL, "--g", ILL_CONDITIONED],
+                                       "overflows"),
+        # json.loads reads NaN and Infinity
+        "eval-g-nan": ([*GL3_EVAL, "--g", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
+                       "finite"),
+        "eval-g-infinity": ([*GL3_EVAL, "--g",
+                             "[[1,0,0],[0,1,Infinity],[0,0,1]]"], "finite"),
+        "extract-g-nan": ([*GL3_EXTRACT, "--g",
+                           "[[1,0,0],[0,NaN,0],[0,0,1]]"], "finite"),
+        "extract-g-infinity": (
+            ["extract", "--partition", "1,1", "--s", "1.5", "--m", "1",
+             "--height", "5", "--g", "[[1,-Infinity],[0,1]]"], "finite"),
     }
 
     # a RuntimeWarning is a second stderr line outside pytest

@@ -29,6 +29,7 @@ from eiskit.eisenstein import (
     _row_powers,
     _shell_sums,
     _unipotent_grid,
+    _window_band,
     _windowed_sums,
 )
 from eiskit.specfun import zeta_completed
@@ -459,9 +460,9 @@ class TestExtractionGL2:
 
 class TestExtractionGL3:
     """The smooth-window sum at a small height: its periodicity in the
-    unipotent coordinates, and the extracted coefficient, with the window
-    band F folded into the row factors, against the factored formula at the
-    slow test's tolerance."""
+    unipotent coordinates, its agreement with the sum over every coset, and
+    the extracted coefficient, with the window band F folded into the row
+    factors, against the factored formula at the slow test's tolerance."""
 
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (0, 2)])
     def test_windowed_sum_is_periodic(self, i, j):
@@ -478,6 +479,39 @@ class TestExtractionGL3:
         s = SpectralPoint((2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j), _borel(3))
         at_w, at_nw = _windowed_sums(np.stack([w, n @ w]), s, 4)
         assert abs(at_w - at_nw) <= 1e-12 * abs(at_w), (at_w, at_nw)
+
+    @pytest.mark.parametrize("s", [(2.4, 0.1, -2.5),
+                                   (2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j)])
+    def test_windowed_sum_skips_only_zero_terms(self, s):
+        # every coset of the window cover, unfiltered, against the sum that
+        # skips the cosets with a row outside the window throughout a grid
+        # slice; 69 grid matrices make two slices of the grid
+        height = 4
+        rng = np.random.default_rng(4)
+        g = np.array([[1.1, 0.2, -0.3], [0.1, 0.9, 0.2], [-0.2, 0.1, 1.0]])
+        w_mats = np.concatenate([
+            _unipotent_grid(3, 4, g, (1, 1))[0],
+            np.eye(3) + rng.uniform(-0.4, 0.4, (5, 3, 3))])
+        got = _windowed_sums(w_mats, SpectralPoint(s, _borel(3)), height)
+        sv = np.linalg.svd(w_mats, compute_uv=False)
+        dets = np.abs(np.linalg.det(w_mats))
+        v, a = _coset_rows(math.ceil(height / sv[:, 2].min()),
+                           math.ceil(height * (sv[:, 0] / dets).max()))
+        # the term F(|vW| / H) F(|a cof W| / H) prod_i a_i^(s_i + rho_i)
+        # over the Iwasawa diagonal a of gamma W: |vW| = a_3,
+        # |a cof W| = a_2 a_3 and |det W| = a_1 a_2 a_3
+        lam = [x + float(r) for x, r in zip(s, rho_borel(3))]
+        xs, band = _window_band()
+        for k, w in enumerate(w_mats):
+            cof = np.linalg.det(w) * np.linalg.inv(w).T
+            a3 = np.linalg.norm(v @ w, axis=1)
+            a23 = np.linalg.norm(a @ cof, axis=1)
+            weight = (np.interp(a3 / height, xs, band)
+                      * np.interp(a23 / height, xs, band))
+            terms = (a3 ** (lam[2] - lam[1]) * a23 ** (lam[1] - lam[0])
+                     * dets[k] ** lam[0])
+            want = (weight * terms).sum()
+            assert abs(got[k] - want) <= 1e-13 * abs(want), (k, got[k], want)
 
     @staticmethod
     def _want(s_values):
