@@ -358,11 +358,14 @@ _ROW_ENTRIES = 1 << 16
 
 
 def _carry_sum(carry: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
-    """carry + the rows of `terms`, added one after another; no carry for
-    the first chunk of a block."""
+    """carry + the rows of `terms`, added one after another, the carry into
+    terms[0] in place; no carry for the first chunk of a block."""
     if carry is None:
         return terms.sum(axis=0)
-    return np.vstack((carry, terms)).sum(axis=0)
+    if not len(terms):
+        return carry
+    terms[0] += carry
+    return terms.sum(axis=0)
 
 
 def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
@@ -405,9 +408,10 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         block = block_inner = None
         for lo in range(0, len(v), step):
             terms = _powers(_norm_sq(v[lo:lo + step], mats), e, shift)
+            # a copy, taken before the total's carry changes terms[0]
+            terms_inner = terms[heights[lo:lo + step] <= half]
             block = _carry_sum(block, terms)
-            block_inner = _carry_sum(
-                block_inner, terms[heights[lo:lo + step] <= half])
+            block_inner = _carry_sum(block_inner, terms_inner)
         total = total + block
         inner = inner + block_inner
     return total, inner
@@ -482,6 +486,24 @@ def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
     return np.concatenate(series)
 
 
+def _sum_range_error(w_mats: np.ndarray) -> ValueError:
+    """The error for a lattice sum beyond the float range.
+
+    Over nonzero integer rows |v W| >= sigma_min(W) and
+    |a cof(W)| >= |det W| / sigma_max(W).  When one of these squares
+    underflows to 0, a row norm may have log -inf, and the error names g's
+    ill-conditioning rather than an overflow.
+    """
+    with np.errstate(over="ignore"):
+        svals = np.linalg.svd(w_mats, compute_uv=False)
+        floor = float(min(svals[:, -1].min(),
+                          (np.abs(np.linalg.det(w_mats)) / svals[:, 0]).min()))
+    if floor * floor == 0.0:
+        return ValueError("a row norm underflows to 0: g is too "
+                          "ill-conditioned")
+    return ValueError("the lattice sum overflows the float range")
+
+
 def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
                     ) -> tuple[complex, float]:
     """Truncated lattice sum of the Borel series, with a heuristic tail bound.
@@ -496,12 +518,12 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
         raise ValueError(f"g is {g.n} x {g.n}, expected {n} x {n}")
     # an overflowing power, or a row norm that underflows to 0, makes the
     # sums, and so the tail, inf or nan
+    w_mats = g.entries[np.newaxis].astype(float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        total, inner = _shell_sums(n, g.entries[np.newaxis].astype(float), s,
-                                   height)
+        total, inner = _shell_sums(n, w_mats, s, height)
         tail = abs(total[0] - inner[0])
     if not np.isfinite(tail):
-        raise ValueError("the lattice sum overflows the float range")
+        raise _sum_range_error(w_mats)
     return complex(total[0]), float(tail)
 
 
@@ -580,7 +602,7 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
             value, half = _quadrature(_windowed_sums(w, request.s, height),
                                       phase)
     if not cmath.isfinite(value):
-        raise ValueError("the lattice sum overflows the float range")
+        raise _sum_range_error(w)
     if half is not None:
         disagreement = abs(value - half) / max(abs(value), 1e-300)
         if disagreement > 0.25:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import Partition, SpectralPoint, check_sum_zero
 from .specfun import PoleError, gamma_complex, zeta, zeta_completed
 
@@ -262,8 +264,10 @@ def hecke_extend(form: FormSpec, m: int) -> complex:
     return out
 
 
-def _hecke_table(form: FormSpec, truncation: int) -> list[complex]:
-    """[0, lambda(1), ..., lambda(T)], T = truncation, by one prime sieve.
+@lru_cache(maxsize=16)
+def _hecke_table(form: FormSpec, truncation: int) -> np.ndarray:
+    """[0, lambda(1), ..., lambda(T)], T = truncation, by one prime sieve;
+    read-only, built once per (form, T).
 
     The pass for p sets lambda(m p^e) = lambda(m) lambda(p^e) for every m
     prime to p.  Passes run over increasing p, so the last pass to write n
@@ -284,12 +288,15 @@ def _hecke_table(form: FormSpec, truncation: int) -> list[complex]:
             for m in range(1, truncation // pe + 1):
                 if m % p:
                     lam[m * pe] = lam[m] * series[e]
-    return lam
+    table = np.array(lam, dtype=complex)
+    table.flags.writeable = False
+    return table
 
 
-def _dirichlet_sum(coeffs: list[complex], s: complex) -> complex:
+def _dirichlet_sum(coeffs: np.ndarray, s: complex) -> complex:
     """sum_{1 <= n < len(coeffs)} coeffs[n] n^{-s}."""
-    return sum(coeffs[n] * n ** (-s) for n in range(1, len(coeffs)))
+    n = np.arange(1, len(coeffs))
+    return complex((coeffs[1:] * np.exp(-s * np.log(n))).sum())
 
 
 # --------------------------- completed L-factors ----------------------------
@@ -362,8 +369,8 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
         for al in fl.alpha:
             pref *= gamma_complex(0.5 * (s + aj + al))
     zfactor = zeta(2.0 * s)
-    acc = _dirichlet_sum([a * b for a, b in zip(_hecke_table(fj, truncation),
-                                                _hecke_table(fl, truncation))], s)
+    acc = _dirichlet_sum(_hecke_table(fj, truncation)
+                         * _hecke_table(fl, truncation), s)
     bound = abs(pref * zfactor) * 2.0 * _divisor_tail(truncation, s.real, power=2)
     return TruncatedValue(pref * zfactor * acc, bound)
 
@@ -404,8 +411,8 @@ def adjoint_l_at_one(form: FormSpec, truncation: int) -> TruncatedValue:
         raise ValueError(f"degree-2 form required, got degree {form.degree}")
     a1, a2 = form.alpha
     pref = gamma_complex(0.5 + a1) * gamma_complex(0.5 + a2)
-    acc = _dirichlet_sum([lam * lam.conjugate()
-                          for lam in _hecke_table(form, truncation)], 1)
+    lam = _hecke_table(form, truncation)
+    acc = _dirichlet_sum(lam * lam.conj(), 1)
     drift = 2.0 * abs(acc) * math.log(2.0) / math.log(max(truncation, 3))
     return TruncatedValue(pref * acc, abs(pref) * drift)
 

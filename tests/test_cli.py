@@ -295,6 +295,7 @@ GL3_OVERFLOW = ["eval", "--partition", "1,1,1", "--s", "300,0", "--height",
                 "3", "--g", "[[0.1,0,0],[0,1,0],[0,0,10]]"]
 # sigma_min of u g underflows to 0: the GL(3) window cover is infinite
 ILL_CONDITIONED = "[[1e200,0,0],[0,1,0],[0,0,1e-200]]"
+ILL_CONDITIONED_GL2 = "[[1e200,0],[0,1e-200]]"
 GL3_EXTRACT = ["extract", "--partition", "1,1,1", "--s", "2,0,-2", "--m",
                "1", "--height", "4", "--nodes", "2"]
 GL3_EVAL = ["eval", "--partition", "1,1,1", "--s", "2,0,-2", "--height", "4"]
@@ -365,9 +366,16 @@ class TestUsageErrors:
              "--nodes", "4"], "overflows"),
         "extract-gl3-g-ill-conditioned": (
             [*GL3_EXTRACT, "--g", ILL_CONDITIONED], "ill-conditioned"),
-        # a row norm that underflows to 0 has log -inf: no warning
+        # a row norm |(0, 0, 1) g| = 1e-200 whose square underflows to 0
         "eval-gl3-g-ill-conditioned": ([*GL3_EVAL, "--g", ILL_CONDITIONED],
-                                       "overflows"),
+                                       "ill-conditioned"),
+        "eval-gl2-g-ill-conditioned": (
+            ["eval", "--partition", "1,1", "--s", "2", "--height", "4", "--g",
+             ILL_CONDITIONED_GL2], "ill-conditioned"),
+        "extract-gl2-g-ill-conditioned": (
+            ["extract", "--partition", "1,1", "--s", "1.5", "--m", "1",
+             "--height", "10", "--nodes", "4", "--g", ILL_CONDITIONED_GL2],
+            "ill-conditioned"),
         # json.loads reads NaN and Infinity
         "eval-g-nan": ([*GL3_EVAL, "--g", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
                        "finite"),

@@ -263,6 +263,14 @@ class TestEval:
                       s=SpectralPoint((1.5, -1.5), _borel(2)),
                       g=GroupElement.identity(3))
 
+    def test_huge_well_conditioned_g_overflows(self):
+        # every row norm is at least 1e200: the conditioning check must not
+        # itself overflow, and the sum's own error names the overflow
+        with np.errstate(over="ignore"):  # det g = 1e400
+            g = GroupElement(np.diag([1e200, 1e200]))
+        with pytest.raises(ValueError, match="overflows"):
+            eval_eisenstein(2, g, SpectralPoint((2, -2), _borel(2)), 4)
+
     @pytest.mark.parametrize("nodes", [0, -3])
     def test_node_count_below_one_rejected(self, nodes):
         req = FWRequest(partition=_borel(2), forms=_trivial_forms(2), M=(1,),

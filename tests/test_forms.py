@@ -1,6 +1,7 @@
 """Mock forms, multiplicative extension, and completed L-functions."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from eiskit.forms import (
     rankin_selberg_completed,
 )
 from eiskit.core import Partition, SpectralPoint
-from eiskit.specfun import PoleError, zeta_completed
+from eiskit.specfun import PoleError, gamma_complex, zeta, zeta_completed
 
 mp.mp.dps = 25
 
@@ -125,6 +126,83 @@ def test_hecke_table_matches_hecke_extend(form):
     for n in range(1, DEFAULT_TRUNCATION + 1):
         assert table[n] == pytest.approx(hecke_extend(form, n), rel=1e-12,
                                          abs=1e-12), n
+
+
+class TestHeckeTable:
+    """One read-only lambda(n) table per (form, T), built once."""
+
+    def test_read_only(self):
+        table = _hecke_table(mock_maass_form(2, 1), DEFAULT_TRUNCATION)
+        with pytest.raises(ValueError):
+            table[2] = 0
+
+    def test_repeat_call_returns_the_same_table(self):
+        f = mock_maass_form(2, 3)
+        assert _hecke_table(f, 300) is _hecke_table(f, 300)
+
+    def test_forms_sharing_a_name_get_their_own_table(self):
+        # the pair of test_forms_sharing_a_name_are_not_equal: the same
+        # hash, unequal data, so two cache entries
+        impostor = dataclasses.replace(mock_maass_form(2, 2), name="mock2:1")
+        genuine = mock_maass_form(2, 1)
+        a, b = _hecke_table(genuine, 300), _hecke_table(impostor, 300)
+        assert a is not b
+        assert a[6] == hecke_extend(genuine, 6)
+        assert b[6] == hecke_extend(impostor, 6) != a[6]
+
+
+def _plain_dirichlet(coeffs, s):
+    """sum_{n >= 1} coeffs[n - 1] n^{-s}, term by term from n = 1."""
+    acc = 0j
+    for n, c in enumerate(coeffs, start=1):
+        acc += c * n ** (-s)
+    return acc
+
+
+@pytest.fixture(scope="module")
+def plain_lambdas():
+    """lambda(1..T) of mock2:1 and mock2:5 from hecke_extend, T = 4000."""
+    return {seed: [hecke_extend(mock_maass_form(2, seed), n)
+                   for n in range(1, DEFAULT_TRUNCATION + 1)]
+            for seed in (1, 5)}
+
+
+class TestDirichletSums:
+    """The numpy Dirichlet sums against plain Python sums over hecke_extend;
+    the prefactors are formed as in the library, so only the sums differ.
+    Completed values can be far below 1 (4e-9 for the convolution at
+    s = 3), so pytest's default absolute tolerance is switched off."""
+
+    @pytest.mark.parametrize("s", [3.0, 3.0 + 2.0j])
+    def test_lfunction(self, plain_lambdas, s):
+        f = mock_maass_form(2, 1)
+        pref = cmath.exp(-s * math.log(math.pi))
+        for a in f.alpha:
+            pref *= gamma_complex(0.5 * (s + a + f.parity))
+        want = pref * _plain_dirichlet(plain_lambdas[1], s)
+        got = lfunction_completed(f, s, DEFAULT_TRUNCATION).value
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("s", [3.0, 3.0 + 2.0j])
+    def test_rankin_selberg(self, plain_lambdas, s):
+        f, g = mock_maass_form(2, 1), mock_maass_form(2, 5)
+        pref = cmath.exp(-2.0 * s * math.log(math.pi)) * zeta(2.0 * s)
+        for a in f.alpha:
+            for b in g.alpha:
+                pref *= gamma_complex(0.5 * (s + a + b))
+        want = pref * _plain_dirichlet(
+            [x * y for x, y in zip(plain_lambdas[1], plain_lambdas[5])], s)
+        got = rankin_selberg_completed(f, g, s, DEFAULT_TRUNCATION).value
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_adjoint_at_one(self, plain_lambdas):
+        f = mock_maass_form(2, 5)
+        a1, a2 = f.alpha
+        pref = gamma_complex(0.5 + a1) * gamma_complex(0.5 + a2)
+        want = pref * _plain_dirichlet(
+            [x * x.conjugate() for x in plain_lambdas[5]], 1)
+        got = adjoint_l_at_one(f, DEFAULT_TRUNCATION).value
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestCompletedL:
