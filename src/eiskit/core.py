@@ -152,7 +152,11 @@ class GroupElement:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        if abs(np.linalg.det(m)) < 1e-300:
+        # a determinant beyond the float range reads inf, which is not
+        # singular; numpy's overflow warning would be a second stderr line
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(m)
+        if abs(det) < 1e-300:
             raise SingularMatrixError("matrix is singular")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
                    langlands_parameter, rho_borel)
-from .forms import DEFAULT_TRUNCATION, FormSet, adjoint_l_at_one
+from .forms import DEFAULT_TRUNCATION, FormSet, _primes_up_to, adjoint_l_at_one
 from .hecke import divisor_sigma, eis_hecke_eigenvalue
-from .specfun import bessel_k, zeta_completed
+from .specfun import _ROW_ENTRIES, bessel_k, zeta_completed
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
 
 __all__ = [
@@ -83,15 +83,20 @@ def _coprime_pairs(height: int):
     """Bottom rows (c, d) of the GL(2) coset representatives up to `height`.
 
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
-    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks of width 200.
+    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks of width 200,
+    each in (c, d) order, read from one (height+1)^2 coprimality mask.
     """
     yield np.array([[0, 1]], np.int64)
+    # coprime[c, |d|]: each prime p strikes the rows c = p, 2p, ... at the
+    # columns |d| = 0, p, 2p, ... (gcd(c, 0) = c)
+    coprime = np.ones((height + 1, height + 1), bool)
+    for p in _primes_up_to(height):
+        coprime[p::p, ::p] = False
     d_all = np.arange(-height, height + 1, dtype=np.int64)
+    d_abs = np.abs(d_all)
     for lo in range(1, height + 1, 200):
-        cs = np.arange(lo, min(lo + 200, height + 1), dtype=np.int64)
-        cg, dg = np.meshgrid(cs, d_all, indexing="ij")
-        keep = np.gcd(cg, np.abs(dg)) == 1
-        yield np.stack((cg[keep], dg[keep]), axis=1)
+        c, d = np.nonzero(coprime[lo:lo + 200, d_abs])
+        yield np.stack((c + lo, d_all[d]), axis=1)
 
 
 # ----------------------------- series evaluation -----------------------------
@@ -350,11 +355,6 @@ def _pair_sums(p: np.ndarray, q: np.ndarray, iv: np.ndarray, ia: np.ndarray
         total += (p[iv[lo:lo + _SUM_BLOCK]]
                   * q[ia[lo:lo + _SUM_BLOCK]]).sum(axis=0)
     return total
-
-
-# (row, grid point) entries per chunk of a GL(2) c-block in `_shell_sums`:
-# keeps its tables in cache
-_ROW_ENTRIES = 1 << 16
 
 
 def _carry_sum(carry: np.ndarray | None, terms: np.ndarray) -> np.ndarray:

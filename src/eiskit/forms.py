@@ -433,15 +433,31 @@ def form_to_json(form: FormSpec) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"))
 
 
+_JSON_NUMBERS = (int, float)
+
+
 def _json_pairs(v, make, what: str) -> tuple:
     """make(x, y) for each [x, y] pair of JSON numbers in the list `v`."""
-    if type(v) is list and all(type(p) is list and len(p) == 2 and all(
-            type(x) in (int, float) for x in p) for p in v):
+    if type(v) is list and all([
+            type(p) is list and len(p) == 2 and type(p[0]) in _JSON_NUMBERS
+            and type(p[1]) in _JSON_NUMBERS for p in v]):
         try:
-            return tuple(make(*p) for p in v)
+            return tuple([make(x, y) for x, y in v])
         except (TypeError, OverflowError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} must be [x, y] pairs for {make.__name__}(x, y)")
+
+
+def _json_hecke(hecke: dict) -> dict[int, complex]:
+    """The hecke object's [x, y] values read in one pass; a malformed value
+    is looked up again so that the error names its prime."""
+    try:
+        values = _json_pairs(list(hecke.values()), complex, "form spec: hecke")
+    except ValueError:
+        for p, v in hecke.items():
+            _json_pairs([v], complex, f"form spec: hecke {p}")
+        raise
+    return dict(zip(map(int, hecke), values))
 
 
 def form_from_json(text: str) -> FormSpec:
@@ -458,8 +474,7 @@ def form_from_json(text: str) -> FormSpec:
         degree=doc.get("degree"),
         parity=doc.get("parity", 0),
         alpha=_json_pairs(doc.get("alpha"), complex, "form spec: alpha"),
-        hecke={int(p): _json_pairs([v], complex, f"form spec: hecke {p}")[0]
-               for p, v in hecke.items()},
+        hecke=_json_hecke(hecke),
         satake={int(p): _json_pairs(beta, complex, f"form spec: satake {p}")
                 for p, beta in satake.items()},
     )

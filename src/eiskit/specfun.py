@@ -130,6 +130,11 @@ def zeta_completed(s: complex) -> complex:
 # 16-node Gauss-Legendre rule on [-1, 1], applied per panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 BESSEL_ASYMPTOTIC_CROSSOVER = 30.0
+# terms of the large-x asymptotic series
+_ASYMPTOTIC_TERMS = 30
+# entries per (x, node) or (row, grid point) table chunk: keeps the
+# temporaries of a large batch in cache (the lattice sums use it too)
+_ROW_ENTRIES = 1 << 16
 
 
 def bessel_k(nu: complex, x: float) -> complex:
@@ -140,7 +145,13 @@ def bessel_k(nu: complex, x: float) -> complex:
 
 
 def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
-    """Quadrature K_nu over a batch of x spanning at most one octave."""
+    """Quadrature K_nu over a batch of x spanning at most one octave.
+
+    The panels' nodes t and weights w are laid out once for the bucket, so
+    K_nu(x) = sum exp(-x cosh t) cosh(nu t) w is one exp of an (x, node)
+    table and one real matmul against [Re, Im] of cosh(nu t) w, taken in
+    row chunks of at most `_ROW_ENTRIES` entries.
+    """
     x_min, x_max = float(x.min()), float(x.max())
     a = abs(nu.real)
     t_max = 1.0
@@ -154,17 +165,30 @@ def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
     while edges[-1] < t_max:
         edges.append(min(edges[-1] + width, t_max))
         width = min(2.0 * width, 0.5)
-    out = np.zeros(x.shape, dtype=complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid + half * _GL_NODES
-        vals = np.exp(-np.outer(x, np.cosh(t))) * np.cosh(nu * t)
-        out += half * (vals @ _GL_WEIGHTS)
-    return out
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    w = np.cosh(nu * t) * (half[:, None] * _GL_WEIGHTS).ravel()
+    w_parts = w.view(float).reshape(-1, 2)
+    cosh_t = np.cosh(t)
+    out = np.empty((x.size, 2))
+    step = max(1, _ROW_ENTRIES // t.size)
+    for i in range(0, x.size, step):
+        out[i:i + step] = np.exp(-np.outer(x[i:i + step], cosh_t)) @ w_parts
+    return out.view(complex).ravel()
 
 
 def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
-    """K_nu over an array of real x > 0, order fixed; vectorized quadrature."""
+    """K_nu over an array of real x > 0, order fixed; vectorized quadrature.
+
+    x >= 30 takes the asymptotic series sqrt(pi/2x) e^-x sum_k prod_j
+    (4 nu^2 - (2j-1)^2) / (8 j x), its 30 terms one cumprod of a factor
+    table.  Smaller x is grouped into octaves by one stable sort, and each
+    octave is one Gauss-Legendre quadrature of
+    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (`_bessel_k_bucket`),
+    a few numpy calls however many points the octave holds, up to the row
+    chunking of a large batch.
+    """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() <= 0:
         raise ValueError("bessel_k_batch requires x > 0")
@@ -174,20 +198,18 @@ def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
     big = flat >= BESSEL_ASYMPTOTIC_CROSSOVER
     if big.any():
         xb = flat[big]
-        acc = np.ones(xb.shape, dtype=complex)
-        term = np.ones(xb.shape, dtype=complex)
-        four_nu2 = 4.0 * nu * nu
-        for k in range(1, 31):
-            term = term * (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k * xb)
-            acc += term
+        k = np.arange(1, _ASYMPTOTIC_TERMS + 1)
+        factors = np.ones((_ASYMPTOTIC_TERMS + 1, xb.size), dtype=complex)
+        factors[1:] = ((4.0 * nu * nu - (2 * k - 1) ** 2)[:, None]
+                       / (8.0 * k[:, None] * xb))
+        # row 0 is the series' leading 1; the rows add in order of k
+        acc = np.cumprod(factors, axis=0).sum(axis=0)
         out[big] = np.sqrt(np.pi / (2.0 * xb)) * np.exp(-xb) * acc
-    small = ~big
-    if small.any():
-        xs = flat[small]
-        octave = np.floor(np.log2(xs)).astype(int)
-        res = np.empty(xs.shape, dtype=complex)
-        for o in np.unique(octave):
-            sel = octave == o
-            res[sel] = _bessel_k_bucket(nu, xs[sel])
-        out[small] = res
+    small = np.flatnonzero(~big)
+    if small.size:
+        octave = np.floor(np.log2(flat[small])).astype(int)
+        order = np.argsort(octave, kind="stable")
+        cuts = np.flatnonzero(np.diff(octave[order])) + 1
+        for sel in np.split(small[order], cuts):
+            out[sel] = _bessel_k_bucket(nu, flat[sel])
     return out.reshape(x.shape)

@@ -376,6 +376,10 @@ class TestUsageErrors:
             ["extract", "--partition", "1,1", "--s", "1.5", "--m", "1",
              "--height", "10", "--nodes", "4", "--g", ILL_CONDITIONED_GL2],
             "ill-conditioned"),
+        # det(g) = 1e400 overflows: numpy's warning must not reach stderr
+        "eval-gl2-g-det-overflows": (
+            ["eval", "--partition", "1,1", "--s", "2", "--height", "4", "--g",
+             "[[1e200,0],[0,1e200]]"], "overflows"),
         # json.loads reads NaN and Infinity
         "eval-g-nan": ([*GL3_EVAL, "--g", "[[NaN,0,0],[0,1,0],[0,0,1]]"],
                        "finite"),

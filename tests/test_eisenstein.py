@@ -70,6 +70,23 @@ class TestCosets:
                         if math.gcd(c, abs(d)) == 1)
         assert len(seen) == count
 
+    @pytest.mark.parametrize("height", [1, 7, 199, 200, 201, 500])
+    def test_gl2_blocks_match_gcd_enumeration(self, height):
+        # the sieve's blocks against np.gcd over each c-block's (c, d) grid:
+        # the same rows in the same order keep the GL(2) sums' bits
+        d_all = np.arange(-height, height + 1, dtype=np.int64)
+        want = [np.array([[0, 1]], np.int64)]
+        for lo in range(1, height + 1, 200):
+            cs = np.arange(lo, min(lo + 200, height + 1), dtype=np.int64)
+            cg, dg = np.meshgrid(cs, d_all, indexing="ij")
+            keep = np.gcd(cg, np.abs(dg)) == 1
+            want.append(np.stack((cg[keep], dg[keep]), axis=1))
+        got = list(_coprime_pairs(height))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
     def test_gl3_complete_against_brute_force(self):
         # every unimodular matrix with bottom row and minor vector within the
         # height bound must land in an enumerated coset

@@ -80,6 +80,22 @@ class TestBesselK:
             expect = complex(mp.besselk(nu, float(xi)))
             assert bi == pytest.approx(expect, rel=1e-10, abs=0)
 
+    # both sides of each octave edge 2^k, where a point changes quadrature
+    # bucket, and of the asymptotic crossover x = 30, shuffled into one
+    # batch that spans both branches
+    EDGES = np.random.default_rng(0).permutation(
+        [2.0**k * (1.0 + e) for k in range(-3, 5) for e in (-1e-12, 1e-12)]
+        + [30.0 - 1e-9, 30.0 + 1e-9])
+
+    @pytest.mark.parametrize("nu", [1.5, 0.75 + 2j, 2j])
+    def test_bucket_edges_against_mpmath(self, nu):
+        batch = bessel_k_batch(nu, self.EDGES)
+        for x, got in zip(self.EDGES, batch):
+            expect = complex(mp.besselk(nu, float(x)))
+            assert got == pytest.approx(expect, rel=1e-10, abs=0), x
+            assert bessel_k(nu, x) == pytest.approx(expect, rel=1e-10,
+                                                    abs=0), x
+
     def test_even_in_order(self):
         for nu, x in [(1.2, 3.0), (0.3 + 1j, 0.8)]:
             assert bessel_k(nu, x) == pytest.approx(bessel_k(-nu, x),

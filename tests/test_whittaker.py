@@ -72,6 +72,27 @@ class TestGL3Symmetry:
             whittaker_gl3((1.0, 1.0, 1.0), 1.0, 1.0)
 
 
+class TestGL3Pinned:
+    """whittaker_gl3 against recorded values at complex alpha and y down to
+    1e-3: how the K-Bessel quadrature is batched may move only rounding."""
+
+    PINS = [
+        ((0.3, 0.1, -0.4), 1.0, 1.0, 1.7906893271624827e-08 + 0j),
+        ((0.2 + 1j, -0.4, 0.2 - 1j), 0.5, 2.0, 7.943086898126625e-10 + 0j),
+        ((0.1 + 2j, -0.2 + 0.5j, 0.1 - 2.5j), 0.01, 0.02,
+         -9.51823375055904e-06 - 5.543933654014284e-06j),
+        ((1j, 0.0, -1j), 0.003, 0.5, 0.00031769836949928484 + 0j),
+        ((0.5, 0.0, -0.5), 0.001, 0.001, 0.006299287160653177 + 0j),
+        ((0.05 + 3j, 0.1 - 1j, -0.15 - 2j), 0.05, 0.05,
+         4.031162295656658e-05 + 1.6829622951643755e-05j),
+    ]
+
+    @pytest.mark.parametrize("alpha, y1, y2, pinned", PINS)
+    def test_recorded_value(self, alpha, y1, y2, pinned):
+        assert whittaker_gl3(alpha, y1, y2) == pytest.approx(
+            pinned, rel=1e-13, abs=0)
+
+
 class TestGL3Oracle:
     def test_oracle_agreement_in_cone(self):
         # 10 points with Re(a1) > Re(a2) > Re(a3); the oracle certifies its
