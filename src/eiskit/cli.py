@@ -279,8 +279,7 @@ def _cmd_uniqueness(args) -> int:
         raise UsageError(f"map file not found: {args.map}")
     with open(args.map) as fh:
         mu = affine_map_from_json(fh.read())
-    verdict = decide_affine_symmetry(partition, blocks, mu,
-                                     weighted=not args.unweighted)
+    verdict = decide_affine_symmetry(partition, blocks, mu)
     report = {"command": "uniqueness", "accepted": verdict.accepted,
               "permutation": list(verdict.permutation)
               if verdict.permutation is not None else None,
@@ -295,8 +294,7 @@ def _cmd_falsify(args) -> int:
     partition = _parse_partition(args.partition)
     blocks = (BlockStructure(tuple(int(v) for v in args.blocks.split(",")))
               if args.blocks else BlockStructure((partition.r,)))
-    rep = random_falsification(partition, blocks, args.trials, args.seed,
-                               weighted=not args.unweighted)
+    rep = random_falsification(partition, blocks, args.trials, args.seed)
     report = {"command": "falsify", "trials": rep.trials,
               "rejections": rep.rejections,
               "all_rejected": rep.all_rejected,
@@ -419,9 +417,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--blocks", help="comma-separated block sizes")
     p.add_argument("--map", required=True, help="AffineMap JSON file")
-    p.add_argument("--unweighted", action="store_true",
-                   help="use the constraint sum s_i = 0 instead of "
-                        "sum n_i s_i = 0")
     p.set_defaults(func=_cmd_uniqueness)
 
     p = sub.add_parser("falsify", help="random falsification")
@@ -429,7 +424,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", help="comma-separated block sizes")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--unweighted", action="store_true")
     p.set_defaults(func=_cmd_falsify)
 
     p = sub.add_parser("selftest", help="fast internal consistency checks")

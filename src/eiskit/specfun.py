@@ -187,7 +187,8 @@ def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
     octave is one Gauss-Legendre quadrature of
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (`_bessel_k_bucket`),
     a few numpy calls however many points the octave holds, up to the row
-    chunking of a large batch.
+    chunking of a large batch.  A value that is not finite (cosh(nu t)
+    overflows for |Re nu| beyond about 130) raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() <= 0:
@@ -196,20 +197,24 @@ def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=complex)
     big = flat >= BESSEL_ASYMPTOTIC_CROSSOVER
-    if big.any():
-        xb = flat[big]
-        k = np.arange(1, _ASYMPTOTIC_TERMS + 1)
-        factors = np.ones((_ASYMPTOTIC_TERMS + 1, xb.size), dtype=complex)
-        factors[1:] = ((4.0 * nu * nu - (2 * k - 1) ** 2)[:, None]
-                       / (8.0 * k[:, None] * xb))
-        # row 0 is the series' leading 1; the rows add in order of k
-        acc = np.cumprod(factors, axis=0).sum(axis=0)
-        out[big] = np.sqrt(np.pi / (2.0 * xb)) * np.exp(-xb) * acc
-    small = np.flatnonzero(~big)
-    if small.size:
-        octave = np.floor(np.log2(flat[small])).astype(int)
-        order = np.argsort(octave, kind="stable")
-        cuts = np.flatnonzero(np.diff(octave[order])) + 1
-        for sel in np.split(small[order], cuts):
-            out[sel] = _bessel_k_bucket(nu, flat[sel])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if big.any():
+            xb = flat[big]
+            k = np.arange(1, _ASYMPTOTIC_TERMS + 1)
+            factors = np.ones((_ASYMPTOTIC_TERMS + 1, xb.size), dtype=complex)
+            factors[1:] = ((4.0 * nu * nu - (2 * k - 1) ** 2)[:, None]
+                           / (8.0 * k[:, None] * xb))
+            # row 0 is the series' leading 1; the rows add in order of k
+            acc = np.cumprod(factors, axis=0).sum(axis=0)
+            out[big] = np.sqrt(np.pi / (2.0 * xb)) * np.exp(-xb) * acc
+        small = np.flatnonzero(~big)
+        if small.size:
+            octave = np.floor(np.log2(flat[small])).astype(int)
+            order = np.argsort(octave, kind="stable")
+            cuts = np.flatnonzero(np.diff(octave[order])) + 1
+            for sel in np.split(small[order], cuts):
+                out[sel] = _bessel_k_bucket(nu, flat[sel])
+    if not np.isfinite(out).all():
+        raise ValueError(f"the K-Bessel quadrature of order {nu} overflows "
+                         "the float range")
     return out.reshape(x.shape)

@@ -37,7 +37,9 @@ __all__ = [
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, (Fraction, int, str)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -112,27 +114,20 @@ class UniquenessVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def _weights(partition: Partition, weighted: bool) -> tuple[Fraction, ...]:
-    if weighted:
-        return tuple(Fraction(nk) for nk in partition.parts)
-    return (Fraction(1),) * partition.r
-
-
 def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
-                           mu: AffineMap, weighted: bool = True
-                           ) -> UniquenessVerdict:
+                           mu: AffineMap) -> UniquenessVerdict:
     """Exact decision: is mu a divisor-sum symmetry on the hyperplane?
 
     With the lambda_j(p) treated as independent formal symbols, mu is a
     symmetry iff each row i of A equals e_pi(i) + t_i * w (w the hyperplane
     weight vector, t_i rational) for some block-preserving bijection pi,
-    with effective shift b_i = 0.  ``weighted`` selects the constraint
-    sum n_i s_i = 0 (the Eisenstein one); weighted=False uses sum s_i = 0.
+    with effective shift b_i = 0, on the hyperplane sum n_i s_i = 0 of the
+    partition's parts n_i.
     """
     r = partition.r
     if blocks.r != r or mu.r != r:
         raise ValueError("dimension mismatch between partition, blocks, mu")
-    w = _weights(partition, weighted)
+    w = partition.parts
     assigned: dict[int, int] = {}
     shifts: list[Fraction] = []
     for i in range(r):
@@ -233,8 +228,7 @@ def _random_affine(rng: random.Random, r: int) -> AffineMap:
 
 
 def random_falsification(partition: Partition, blocks: BlockStructure,
-                         trials: int, seed: int,
-                         weighted: bool = True) -> FalsificationReport:
+                         trials: int, seed: int) -> FalsificationReport:
     """Reject `trials` random affine maps, each with a numeric witness.
 
     Samples rational maps (denominators <= 16); maps that happen to be
@@ -247,25 +241,26 @@ def random_falsification(partition: Partition, blocks: BlockStructure,
         raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)
     r = partition.r
-    w = _weights(partition, weighted)
+    w = [float(nk) for nk in partition.parts]
     witnesses = []
     rejections = 0
     for trial in range(trials):
         while True:
             mu = _random_affine(rng, r)
-            verdict = decide_affine_symmetry(partition, blocks, mu, weighted)
+            verdict = decide_affine_symmetry(partition, blocks, mu)
             if not verdict.accepted:
                 break
+        a = [[complex(v) for v in row] for row in mu.A]
+        b = [complex(v) for v in mu.b]
         best = None
         for _ in range(3):
             # s on the constraint hyperplane, generic p, distinct lambdas
             s_head = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
                       for _ in range(r - 1)]
-            s_last = -sum(float(wk) * sk for wk, sk in
-                          zip(w[:-1], s_head)) / float(w[-1])
+            s_last = -sum(wk * sk for wk, sk in zip(w[:-1], s_head)) / w[-1]
             s_vals = s_head + [s_last]
-            mu_s = [sum(complex(mu.A[i][k]) * s_vals[k] for k in range(r))
-                    + complex(mu.b[i]) for i in range(r)]
+            mu_s = [sum(a[i][k] * s_vals[k] for k in range(r)) + b[i]
+                    for i in range(r)]
             p = rng.uniform(2.0, 10.0)
             lam = [rng.uniform(0.5, 2.0) * (1 + 0.1 * j)
                    for j in range(len(blocks.sizes))]

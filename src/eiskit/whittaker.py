@@ -220,42 +220,33 @@ def _jacquet_gl3(alpha, y1: float, y2: float, L: float, order: int,
 
     def h_func(u1_arr):
         # the u3 integrand is invariant under (u1, u3) -> (-u1, -u3), so h is
-        # even in u1; evaluate at |u1| and batch every Bessel argument into a
-        # single call
+        # even in u1; evaluate at |u1|.  The u3 < 0 half differs from the
+        # u3 > 0 half only in the sign of the phase, so sum u3 > 0 against
+        # 2 cos(2 pi x1 u3 / sc)
         u1_arr = np.abs(np.asarray(u1_arr, dtype=float))
         uniq, inverse = np.unique(np.round(u1_arr, 12), return_inverse=True)
-        seg_abes, seg_w, seg_phase, seg_logr = [], [], [], []
-        starts, pos = [], 0
-        for x1 in uniq:
-            sc = x1 * x1 + y2 * y2
-            u3_max = (8.0 * sc + 10.0) / y2
-            bnds = [0.0]
-            b = min(0.25, 0.25 * y1 * y2)
-            while b < u3_max:
-                bnds.append(b)
-                b *= ratio
-            bnds.append(u3_max)
-            t3, w3 = [], []
-            for lo, hi in zip(bnds[:-1], bnds[1:]):
-                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-                t3.append(mid + half * nodes)
-                w3.append(half * weights)
-            u3 = np.concatenate(t3)
-            w3 = np.concatenate(w3)
-            u3 = np.concatenate([u3, -u3])
-            w3 = np.concatenate([w3, w3])
-            r3sq = (y1 * y2) ** 2 + (y1 * x1) ** 2 + u3 * u3
-            seg_abes.append(y2 * np.sqrt(r3sq) / sc)
-            seg_phase.append(x1 * u3 / sc)
-            seg_logr.append(np.log(r3sq))
-            seg_w.append(w3 / math.sqrt(sc))
-            starts.append(pos)
-            pos += u3.size
-        kvals = _bessel_k_interp(mu, 2.0 * math.pi * np.concatenate(seg_abes))
-        vals = np.exp(-2j * math.pi * np.concatenate(seg_phase)
-                      + r3_exp * np.concatenate(seg_logr))
-        vals = vals * kvals * np.concatenate(seg_w)
-        return np.add.reduceat(vals, starts)[inverse]
+        sc = uniq * uniq + y2 * y2
+        u3_max = (8.0 * sc + 10.0) / y2
+        # geometric panel edges b0 ratio^k, shared by every u1 and cut at
+        # its u3_max; the zero-width panels past the cut are dropped
+        b0 = min(0.25, 0.25 * y1 * y2)
+        count = int(math.log(u3_max.max() / b0) / math.log(ratio)) + 2
+        edges = np.cumprod(np.r_[b0, np.full(count, ratio)])
+        edges = np.minimum(np.r_[0.0, edges], u3_max[:, None])
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        keep = hi > lo
+        counts = order * keep.sum(axis=1)
+        row = np.repeat(np.arange(uniq.size), counts)
+        lo, hi = lo[keep][:, None], hi[keep][:, None]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        u3 = (mid + half * nodes).ravel()
+        x1, sc = uniq[row], sc[row]
+        r3sq = (y1 * y2) ** 2 + (y1 * x1) ** 2 + u3 * u3
+        kvals = _bessel_k_interp(mu, 2.0 * math.pi * (y2 * np.sqrt(r3sq) / sc))
+        vals = (2.0 * np.cos(2.0 * math.pi * (x1 * u3 / sc))
+                * np.exp(r3_exp * np.log(r3sq)) * kvals
+                * ((half * weights).ravel() / np.sqrt(sc)))
+        return np.add.reduceat(vals, np.cumsum(counts) - counts)[inverse]
 
     pts, wts = _unit_panels(L, order)
     val = np.sum(h_func(pts) * np.exp(-2j * math.pi * pts) * wts)

@@ -376,6 +376,18 @@ class TestUsageErrors:
             ["extract", "--partition", "1,1", "--s", "1.5", "--m", "1",
              "--height", "10", "--nodes", "4", "--g", ILL_CONDITIONED_GL2],
             "ill-conditioned"),
+        # 2^(4 * 300) overflows a complex power; at s = (200, 200, -400) no
+        # power overflows, but the local factors do, and the product is nan
+        "divisor-sum-term-overflows": (
+            ["divisor-sum", "--partition", "1,1", "--s=300,-300", "--m",
+             "720720"], "overflows"),
+        "divisor-sum-result-overflows": (
+            ["divisor-sum", "--partition", "1,1,1", "--s=200,200", "--m",
+             "720720"], "overflows"),
+        # cosh(nu t) of the K-Bessel quadrature overflows at nu = 140
+        "check-fe-bessel-overflows": (
+            ["check-fe", "--partition", "1,1", "--forms", "const,const",
+             "--s=140", "--sigma", "2,1", "--mode", "numeric"], "overflows"),
         # det(g) = 1e400 overflows: numpy's warning must not reach stderr
         "eval-gl2-g-det-overflows": (
             ["eval", "--partition", "1,1", "--s", "2", "--height", "4", "--g",

@@ -80,6 +80,14 @@ class TestBesselK:
             expect = complex(mp.besselk(nu, float(xi)))
             assert bi == pytest.approx(expect, rel=1e-10, abs=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadrature_overflow_raises(self):
+        # cosh(nu t) overflows for |Re nu| beyond about 130: a ValueError
+        # naming the overflow, not a nan under numpy warnings
+        with pytest.raises(ValueError, match="overflows"):
+            bessel_k_batch(140.0, np.array([0.5, 2 * math.pi, 40.0]))
+        assert math.isfinite(abs(bessel_k(120.0, 2 * math.pi)))
+
     # both sides of each octave edge 2^k, where a point changes quadrature
     # bucket, and of the asymptotic crossover x = 30, shuffled into one
     # batch that spans both branches

@@ -126,6 +126,40 @@ class TestGL3Oracle:
         with pytest.raises(DomainError):
             jacquet_oracle((0.0, 1.0, -1.0), (1.0, 1.0))
 
+    # recorded coarse and fine passes of the unipotent integral at the
+    # benchmark's oracle point, a test_09 point it certifies and one it
+    # declines (the passes 3.0e-5 apart > 1e-5).  A change of summation
+    # order moves them by rounding only (at most 1.0e-11 relative, measured
+    # over every point the oracle tests visit), far below the 1e-5 at which
+    # the oracle certifies
+    ALPHA_CERTIFIED = (1.6741379713551694 + 0.8782141068480176j,
+                       0.04763356870143228 - 1.7564282136960352j,
+                       -1.7217715400566018 + 0.8782141068480176j)
+    ALPHA_DECLINED = (1.6886269848557431 - 0.21562217260675998j,
+                      -0.2798305385063027 + 0.43124434521351995j,
+                      -1.4087964463494405 - 0.21562217260675998j)
+    PINS = [
+        ((2.0, 0.0, -2.0), 1.0, 1.0,
+         2.6945179817214256e-08 + 8.00335320246872e-26j,
+         2.694517772146091e-08 - 8.00335320246872e-26j),
+        (ALPHA_CERTIFIED, 1.0492094803882275, 0.8607000341749531,
+         4.186761834106936e-08 - 7.72331135109681e-10j,
+         4.186761786784819e-08 - 7.723322013685474e-10j),
+        (ALPHA_DECLINED, 1.2258602903099651, 1.250585448899592,
+         3.515145679108911e-10 - 5.51853135241563e-12j,
+         3.515146781706096e-10 - 5.507984825561111e-12j),
+    ]
+
+    @pytest.mark.parametrize("alpha, y1, y2, coarse, fine", PINS,
+                             ids=["benchmark", "certified", "declined"])
+    def test_pinned_values(self, alpha, y1, y2, coarse, fine):
+        assert whittaker._jacquet_gl3(
+            alpha, y1, y2, L=42.0, order=14, ratio=1.1) == pytest.approx(
+                coarse, rel=1e-10, abs=0)
+        assert whittaker._jacquet_gl3(
+            alpha, y1, y2, L=60.0, order=14, ratio=1.08) == pytest.approx(
+                fine, rel=1e-10, abs=0)
+
 
 class TestGL3MellinCrossCheck:
     def test_double_bessel_value_against_mpmath(self):
