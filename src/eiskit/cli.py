@@ -298,10 +298,8 @@ def _cmd_falsify(args) -> int:
     report = {"command": "falsify", "trials": rep.trials,
               "rejections": rep.rejections,
               "all_rejected": rep.all_rejected,
-              "witnesses": [dict(w) for w in rep.witnesses]}
-    rows = [{"trial": w.get("trial"), "p": w.get("p"), "gap": w.get("gap"),
-             "reason": w.get("reason")} for w in rep.witnesses]
-    _emit(report, rows, args)
+              "witnesses": list(rep.witnesses)}
+    _emit(report, report["witnesses"], args)
     return 0 if rep.all_rejected else 1
 
 

@@ -9,13 +9,16 @@ is a symmetry when the sum is unchanged with s_i replaced by mu_i(s) for all
 primes p and all s on the constraint hyperplane, treating the lambda_j(p) as
 independent formal symbols.  This module decides that property exactly over
 the rationals, enumerates the permutation symmetries, and falsifies random
-non-symmetries numerically.
+non-symmetries exactly: each with a rational point on the hyperplane where
+some block's values differ.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,18 +135,15 @@ def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
     shifts: list[Fraction] = []
     for i in range(r):
         row = mu.A[i]
-        # find pi(i) and t with row = e_pi(i) + t*w; subtracting the basis
-        # vector at each candidate position must leave a multiple of w
+        # find pi(i) and t with row = e_pi(i) + t*w: as w > 0, at most one
+        # basis vector e_j leaves a multiple of w when subtracted from row
         match = None
         for j in range(r):
             resid = [row[k] - (1 if k == j else 0) for k in range(r)]
             ts = {resid[k] / w[k] for k in range(r)}
             if len(ts) == 1:
-                t = ts.pop()
-                if match is None or t == 0:
-                    match = (j, t)
-            # prefer the t = 0 candidate when several j work (w collinear
-            # with a basis-vector difference); any choice is kernel-equivalent
+                match = (j, ts.pop())
+                break
         if match is None:
             return UniquenessVerdict(
                 accepted=False,
@@ -198,23 +198,24 @@ def enumerate_permutation_symmetries(partition: Partition, forms: FormSet
     return sorted(out)
 
 
+# Rational points tried per rejected map before it counts as unrefuted: at a
+# random point the block a witness needs ties with probability at most
+# |I_j|! / (2 * 10**6 + 1)
+_WITNESS_ATTEMPTS = 5
+
+
 @dataclass(frozen=True)
 class FalsificationReport:
     trials: int
-    rejections: int
     witnesses: tuple[dict, ...]
+
+    @property
+    def rejections(self) -> int:
+        return len(self.witnesses)
 
     @property
     def all_rejected(self) -> bool:
         return self.rejections == self.trials
-
-
-def _divisor_sum_side(s_vals, lam, blocks: BlockStructure, p: float) -> complex:
-    total = 0j
-    for j, idx in enumerate(blocks.index_sets()):
-        total += lam[j] * sum(p ** complex(si) for si in
-                              (s_vals[i] for i in idx))
-    return total
 
 
 def _random_affine(rng: random.Random, r: int) -> AffineMap:
@@ -227,56 +228,57 @@ def _random_affine(rng: random.Random, r: int) -> AffineMap:
     return AffineMap(a, b)
 
 
+def _exact_witness(partition: Partition, blocks: BlockStructure,
+                   mu: AffineMap, rng: random.Random) -> dict | None:
+    """A rational s with sum n_i s_i = 0 and a block j whose multisets
+    {s_i} and {mu_i(s)}, i in I_j, differ; None if every point tried ties.
+
+    Scaled by n_r * d, d the lcm of mu's denominators, s and mu(s) are
+    integer vectors, so they are compared exactly in integer arithmetic.
+    """
+    w = partition.parts
+    d = math.lcm(*(v.denominator for v in itertools.chain(*mu.A, mu.b)))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in mu.A]
+    b = [v.numerator * (d // v.denominator) * w[-1] for v in mu.b]
+    for _ in range(_WITNESS_ATTEMPTS):
+        head = [rng.randint(-10**6, 10**6) for _ in w[:-1]]
+        t = [w[-1] * h for h in head] + [-sum(map(operator.mul, w, head))]
+        mu_t = [sum(map(operator.mul, row, t), bi) for row, bi in zip(a, b)]
+        for j, idx in enumerate(blocks.index_sets()):
+            if sorted(d * t[i] for i in idx) != sorted(mu_t[i] for i in idx):
+                s = [Fraction(ti, w[-1]) for ti in t]
+                return {"block": j,
+                        "s": [[v.numerator, v.denominator] for v in s]}
+    return None
+
+
 def random_falsification(partition: Partition, blocks: BlockStructure,
                          trials: int, seed: int) -> FalsificationReport:
-    """Reject `trials` random affine maps, each with a numeric witness.
+    """Reject `trials` random affine maps, each with an exact witness.
 
     Samples rational maps (denominators <= 16); maps that happen to be
     kernel-equivalent to a block permutation are re-sampled.  Each rejected
-    map is additionally falsified numerically: both sides of the divisor
-    sum are evaluated at 3 random (s, p) with mock lambda-data (all distinct
-    and non zero), confirming disagreement beyond 1e-6.
+    map is falsified exactly at a rational point s on the hyperplane, with
+    integer leading entries in [-10**6, 10**6], where some block's multisets
+    {s_i} and {mu_i(s)} differ.  A map with no such point is not counted as
+    rejected, so a true symmetry that the decision rejected leaves
+    `all_rejected` false.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)
-    r = partition.r
-    w = [float(nk) for nk in partition.parts]
     witnesses = []
-    rejections = 0
     for trial in range(trials):
         while True:
-            mu = _random_affine(rng, r)
+            mu = _random_affine(rng, partition.r)
             verdict = decide_affine_symmetry(partition, blocks, mu)
             if not verdict.accepted:
                 break
-        a = [[complex(v) for v in row] for row in mu.A]
-        b = [complex(v) for v in mu.b]
-        best = None
-        for _ in range(3):
-            # s on the constraint hyperplane, generic p, distinct lambdas
-            s_head = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-                      for _ in range(r - 1)]
-            s_last = -sum(wk * sk for wk, sk in zip(w[:-1], s_head)) / w[-1]
-            s_vals = s_head + [s_last]
-            mu_s = [sum(a[i][k] * s_vals[k] for k in range(r)) + b[i]
-                    for i in range(r)]
-            p = rng.uniform(2.0, 10.0)
-            lam = [rng.uniform(0.5, 2.0) * (1 + 0.1 * j)
-                   for j in range(len(blocks.sizes))]
-            lhs = _divisor_sum_side(s_vals, lam, blocks, p)
-            rhs = _divisor_sum_side(mu_s, lam, blocks, p)
-            gap = abs(lhs - rhs)
-            if best is None or gap > best["gap"]:
-                best = {"trial": trial, "p": p, "gap": gap,
-                        "reason": verdict.witness.get("reason")}
-        if best["gap"] > 1e-6:
-            rejections += 1
-            witnesses.append(best)
-        else:
-            witnesses.append({**best, "numeric_witness_failed": True})
-    return FalsificationReport(trials=trials, rejections=rejections,
-                               witnesses=tuple(witnesses))
+        found = _exact_witness(partition, blocks, mu, rng)
+        if found is not None:
+            witnesses.append({"trial": trial, **found,
+                              "reason": verdict.witness["reason"]})
+    return FalsificationReport(trials=trials, witnesses=tuple(witnesses))
 
 
 # ------------------------------- JSON I/O ------------------------------------

@@ -38,10 +38,12 @@ from eiskit.eisenstein import (
 from eiskit.uniqueness import (
     AffineMap,
     BlockStructure,
+    _exact_witness,
     decide_affine_symmetry,
     enumerate_permutation_symmetries,
     random_falsification,
 )
+from witness_check import record_rejected_maps, refutes
 
 
 def test_01_rho_tables_exact():
@@ -226,7 +228,7 @@ def test_10_gl3_numeric_coefficient_vs_factored_formula(s_values):
     assert time.time() - t0 < 900.0
 
 
-def test_11_uniqueness_certification():
+def test_11_uniqueness_certification(monkeypatch):
     t0 = time.time()
     # exactly the kernel-classes of block permutations are accepted
     cases = [
@@ -257,8 +259,14 @@ def test_11_uniqueness_certification():
                 shifted = AffineMap(tuple(tuple(rw) for rw in rows), base.b)
                 v2 = decide_affine_symmetry(part, blocks, shifted)
                 assert v2.accepted and v2.permutation == sigma
-    report = random_falsification(Partition((1, 1, 1)), BlockStructure((3,)),
-                                  trials=100, seed=7)
+                # at the helper's 5 (_WITNESS_ATTEMPTS) seeded rational
+                # points on the hyperplane, an accepted map ties in every block
+                for mu in (base, shifted):
+                    assert _exact_witness(part, blocks, mu, rng) is None
+    part, blocks = Partition((1, 1, 1)), BlockStructure((3,))
+    maps = record_rejected_maps(monkeypatch)
+    report = random_falsification(part, blocks, trials=100, seed=7)
     assert report.trials == 100 and report.rejections == 100
-    assert all(w["gap"] > 1e-6 for w in report.witnesses)
+    for w in report.witnesses:
+        assert refutes(part, blocks, maps[w["trial"]], w), w
     assert time.time() - t0 < 60.0

@@ -279,6 +279,17 @@ class TestUniqueness:
         assert doc["rejections"] == 10
         assert doc["all_rejected"] is True
 
+    def test_falsify_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "f.csv"
+        code, out, _ = run(capsys, "falsify", "--partition", "2,1,1",
+                           "--blocks", "1,2", "--trials", "5",
+                           "--output", str(out_file), "--format", "csv")
+        assert code == 0
+        assert json.loads(out)["rejections"] == 5
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == "trial,block,s,reason"
+        assert len(lines) == 6
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -37,7 +37,8 @@ class TestMockForms:
         assert f1.alpha == f2.alpha
 
     def test_distinct_nonzero_eigenvalues(self):
-        # the falsifier relies on lambda_j(p) all distinct and nonzero
+        # mock forms of different seeds are told apart by their lambda(p),
+        # which are distinct and nonzero
         forms = [mock_maass_form(2, s) for s in range(1, 6)]
         for p in (2, 3, 5, 7, 11, 97):
             vals = [f.hecke[p] for f in forms]

@@ -8,18 +8,21 @@ from fractions import Fraction
 
 import pytest
 
+from eiskit import uniqueness
 from eiskit.cli import dispatch
 from eiskit.core import Partition
 from eiskit.forms import FormSet, const_form, mock_maass_form
 from eiskit.uniqueness import (
     AffineMap,
     BlockStructure,
+    UniquenessVerdict,
     affine_map_from_json,
     affine_map_to_json,
     decide_affine_symmetry,
     enumerate_permutation_symmetries,
     random_falsification,
 )
+from witness_check import record_rejected_maps, refutes
 
 BOREL3 = Partition((1, 1, 1))
 BLOCKS3 = BlockStructure((3,))
@@ -188,30 +191,70 @@ class TestEnumeration:
 
 
 class TestFalsification:
-    def test_all_rejected(self):
+    def test_all_rejected(self, monkeypatch):
+        maps = record_rejected_maps(monkeypatch)
         report = random_falsification(BOREL3, BLOCKS3, trials=100, seed=7)
         assert report.trials == 100
         assert report.rejections == 100
         assert report.all_rejected
-        assert len(report.witnesses) == 100
+        assert [w["trial"] for w in report.witnesses] == list(range(100))
         for w in report.witnesses:
-            assert w["gap"] > 1e-6
+            assert refutes(BOREL3, BLOCKS3, maps[w["trial"]], w), w
+
+    def test_witnesses_at_non_integer_points(self, monkeypatch):
+        # a last part n_r = 2 puts half-integers into s
+        part, blocks = Partition((1, 1, 2, 2)), BlockStructure((2, 2))
+        maps = record_rejected_maps(monkeypatch)
+        report = random_falsification(part, blocks, trials=50, seed=3)
+        assert report.all_rejected
+        assert any(w["s"][-1][1] == 2 for w in report.witnesses)
+        for w in report.witnesses:
+            assert refutes(part, blocks, maps[w["trial"]], w), w
 
     def test_deterministic_in_seed(self):
         r1 = random_falsification(BOREL3, BLOCKS3, trials=5, seed=42)
         r2 = random_falsification(BOREL3, BLOCKS3, trials=5, seed=42)
-        assert [w["gap"] for w in r1.witnesses] == [
-            w["gap"] for w in r2.witnesses]
+        assert r1.witnesses == r2.witnesses
 
-    def test_recorded_gaps(self):
-        # recorded values: where each map is converted to complex changes no
-        # arithmetic, so only a platform's libm may move them
-        report = random_falsification(Partition((2, 1, 1)),
-                                      BlockStructure((1, 2)), trials=4, seed=5)
-        assert [w["gap"] for w in report.witnesses] == pytest.approx(
-            [207282.6418987301, 1857.6181047044945, 9470220.516347032,
-             14527.681358937762], rel=1e-13, abs=0)
-        assert report.all_rejected
+    def test_recorded_witnesses(self, monkeypatch):
+        # exact rationals drawn from the seeded random.Random: no platform
+        # can move them
+        part, blocks = Partition((2, 1, 1)), BlockStructure((1, 2))
+        maps = record_rejected_maps(monkeypatch)
+        report = random_falsification(part, blocks, trials=4, seed=5)
+        reason = "row is not a shifted basis vector"
+        assert list(report.witnesses) == [
+            {"trial": 0, "block": 0,
+             "s": [[921715, 1], [819193, 1], [-2662623, 1]],
+             "reason": reason},
+            {"trial": 1, "block": 0,
+             "s": [[-651965, 1], [962499, 1], [341431, 1]],
+             "reason": reason},
+            {"trial": 2, "block": 0,
+             "s": [[-962110, 1], [151474, 1], [1772746, 1]],
+             "reason": reason},
+            {"trial": 3, "block": 0,
+             "s": [[-923179, 1], [-91983, 1], [1938341, 1]],
+             "reason": reason},
+        ]
+        for w in report.witnesses:
+            assert refutes(part, blocks, maps[w["trial"]], w), w
+
+    def test_unrefuted_map_is_not_rejected(self, monkeypatch, capsys):
+        # a true symmetry that the decision wrongly rejects has no witness,
+        # so the trial does not count and falsify exits 1
+        monkeypatch.setattr(uniqueness, "_random_affine",
+                            lambda rng, r: AffineMap.permutation((1, 0, 2)))
+        monkeypatch.setattr(
+            uniqueness, "decide_affine_symmetry",
+            lambda partition, blocks, mu: UniquenessVerdict(
+                accepted=False, witness={"reason": "forced"}))
+        report = random_falsification(BOREL3, BLOCKS3, trials=3, seed=7)
+        assert report.rejections < report.trials
+        assert not report.all_rejected
+        assert dispatch(["falsify", "--partition", "1,1,1",
+                         "--trials", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["all_rejected"] is False
 
 
 class TestJSON:
