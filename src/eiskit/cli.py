@@ -92,11 +92,23 @@ def _emit(report: dict, rows: list[dict], args) -> None:
                 fh.write(text + "\n")
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse_ints(text: str, option: str, build=tuple):
+    """`build` of the comma-separated integers that `option` was given."""
     try:
-        return Partition(tuple(int(v) for v in text.split(",")))
+        return build(tuple(int(v) for v in text.split(",")))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad --partition {text!r}: {exc}") from exc
+        raise UsageError(f"bad {option} {text!r}: {exc}") from exc
+
+
+def _parse_partition(text: str) -> Partition:
+    return _parse_ints(text, "--partition", Partition)
+
+
+def _parse_blocks(text: str | None, partition: Partition) -> BlockStructure:
+    """--blocks, or one block of every slot when it is not given."""
+    if not text:
+        return BlockStructure((partition.r,))
+    return _parse_ints(text, "--blocks", BlockStructure)
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -150,10 +162,7 @@ def _parse_spectral(text: str, partition: Partition) -> SpectralPoint:
 
 
 def _parse_sigma(text: str, r: int) -> tuple[int, ...]:
-    try:
-        sigma = tuple(int(v) - 1 for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --sigma {text!r}") from exc
+    sigma = tuple(v - 1 for v in _parse_ints(text, "--sigma"))
     if sorted(sigma) != list(range(r)):
         raise UsageError(f"--sigma {text!r} is not a permutation of 1..{r}")
     return sigma
@@ -240,7 +249,7 @@ def _cmd_extract(args) -> int:
     forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
     g = _parse_group_element(args, n)
-    m = tuple(int(v) for v in args.m.split(","))
+    m = _parse_ints(args.m, "--m")
     if len(m) == 1 and n > 2:
         m = m + (1,) * (n - 2)
     request = FWRequest(partition=partition, forms=forms, M=m, s=s, g=g)
@@ -273,8 +282,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     partition = _parse_partition(args.partition)
-    blocks = (BlockStructure(tuple(int(v) for v in args.blocks.split(",")))
-              if args.blocks else BlockStructure((partition.r,)))
+    blocks = _parse_blocks(args.blocks, partition)
     if not os.path.exists(args.map):
         raise UsageError(f"map file not found: {args.map}")
     with open(args.map) as fh:
@@ -292,8 +300,7 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_falsify(args) -> int:
     partition = _parse_partition(args.partition)
-    blocks = (BlockStructure(tuple(int(v) for v in args.blocks.split(",")))
-              if args.blocks else BlockStructure((partition.r,)))
+    blocks = _parse_blocks(args.blocks, partition)
     rep = random_falsification(partition, blocks, args.trials, args.seed)
     report = {"command": "falsify", "trials": rep.trials,
               "rejections": rep.rejections,

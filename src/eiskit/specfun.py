@@ -129,9 +129,6 @@ def zeta_completed(s: complex) -> complex:
 
 # 16-node Gauss-Legendre rule on [-1, 1], applied per panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-BESSEL_ASYMPTOTIC_CROSSOVER = 30.0
-# terms of the large-x asymptotic series
-_ASYMPTOTIC_TERMS = 30
 # entries per (x, node) or (row, grid point) table chunk: keeps the
 # temporaries of a large batch in cache (the lattice sums use it too)
 _ROW_ENTRIES = 1 << 16
@@ -181,14 +178,14 @@ def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
 def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
     """K_nu over an array of real x > 0, order fixed; vectorized quadrature.
 
-    x >= 30 takes the asymptotic series sqrt(pi/2x) e^-x sum_k prod_j
-    (4 nu^2 - (2j-1)^2) / (8 j x), its 30 terms one cumprod of a factor
-    table.  Smaller x is grouped into octaves by one stable sort, and each
-    octave is one Gauss-Legendre quadrature of
+    The x are grouped into octaves by one stable sort, and each octave is
+    one Gauss-Legendre quadrature of
     K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt (`_bessel_k_bucket`),
     a few numpy calls however many points the octave holds, up to the row
-    chunking of a large batch.  A value that is not finite (cosh(nu t)
-    overflows for |Re nu| beyond about 130) raises ValueError.
+    chunking of a large batch.  Every x takes this one quadrature, which
+    needs no fixed-order expansion in 1/x and so also holds at orders
+    comparable to x.  A value that is not finite (cosh(nu t) overflows for
+    |Re nu| beyond about 130) raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() <= 0:
@@ -196,23 +193,12 @@ def bessel_k_batch(nu: complex, x: np.ndarray) -> np.ndarray:
     nu = complex(nu)
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    big = flat >= BESSEL_ASYMPTOTIC_CROSSOVER
     with np.errstate(over="ignore", invalid="ignore"):
-        if big.any():
-            xb = flat[big]
-            k = np.arange(1, _ASYMPTOTIC_TERMS + 1)
-            factors = np.ones((_ASYMPTOTIC_TERMS + 1, xb.size), dtype=complex)
-            factors[1:] = ((4.0 * nu * nu - (2 * k - 1) ** 2)[:, None]
-                           / (8.0 * k[:, None] * xb))
-            # row 0 is the series' leading 1; the rows add in order of k
-            acc = np.cumprod(factors, axis=0).sum(axis=0)
-            out[big] = np.sqrt(np.pi / (2.0 * xb)) * np.exp(-xb) * acc
-        small = np.flatnonzero(~big)
-        if small.size:
-            octave = np.floor(np.log2(flat[small])).astype(int)
+        if flat.size:
+            octave = np.floor(np.log2(flat)).astype(int)
             order = np.argsort(octave, kind="stable")
             cuts = np.flatnonzero(np.diff(octave[order])) + 1
-            for sel in np.split(small[order], cuts):
+            for sel in np.split(order, cuts):
                 out[sel] = _bessel_k_bucket(nu, flat[sel])
     if not np.isfinite(out).all():
         raise ValueError(f"the K-Bessel quadrature of order {nu} overflows "

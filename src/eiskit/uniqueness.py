@@ -125,12 +125,17 @@ def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
     symmetry iff each row i of A equals e_pi(i) + t_i * w (w the hyperplane
     weight vector, t_i rational) for some block-preserving bijection pi,
     with effective shift b_i = 0, on the hyperplane sum n_i s_i = 0 of the
-    partition's parts n_i.
+    partition's parts n_i.  A block groups slots of one attached form, so
+    its parts must have one size; a block that mixes sizes raises ValueError.
     """
     r = partition.r
     if blocks.r != r or mu.r != r:
         raise ValueError("dimension mismatch between partition, blocks, mu")
     w = partition.parts
+    for j, idx in enumerate(blocks.index_sets()):
+        sizes = sorted({w[i] for i in idx})
+        if len(sizes) > 1:
+            raise ValueError(f"block {j} mixes parts of sizes {sizes}")
     assigned: dict[int, int] = {}
     shifts: list[Fraction] = []
     for i in range(r):

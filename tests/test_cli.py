@@ -340,6 +340,18 @@ class TestUsageErrors:
                                  "--trials", "0"], "trials"),
         "falsify-negative-trials": (["falsify", "--partition", "1,1,1",
                                      "--trials", "-1"], "trials"),
+        # a block groups slots of one form, so its parts share one size
+        "falsify-block-mixes-part-sizes": (
+            ["falsify", "--partition", "1,2", "--blocks", "2", "--trials",
+             "3"], "mixes parts"),
+        # a bad integer list names its option
+        "falsify-blocks-not-int": (["falsify", "--partition", "1,1,1",
+                                    "--blocks", "1,x"], "--blocks"),
+        "uniqueness-blocks-not-int": (
+            ["uniqueness", "--partition", "1,1,1", "--blocks", "x",
+             "--map", "mu.json"], "--blocks"),
+        "extract-m-not-int": (["extract", "--partition", "1,1", "--s", "1.5",
+                               "--m", "x", "--height", "5"], "--m"),
         "extract-zero-nodes": (["extract", "--partition", "1,1", "--s", "1.5",
                                 "--m", "1", "--height", "5", "--nodes", "0"],
                                "nodes"),
@@ -453,6 +465,11 @@ class TestUsageErrors:
         "map-float-numerator": (
             MAP11, '{"A": [[[1.5, 1], [0, 1]], [[0, 1], [1, 1]]], '
                    '"b": [[0, 1], [0, 1]]}', "A"),
+        # the swap of two slots, in a block that mixes parts of size 1, 2
+        "map-block-mixes-part-sizes": (
+            ["uniqueness", "--partition", "1,2", "--blocks", "2", "--map",
+             "FILE"], '{"A": [[[0, 1], [1, 1]], [[1, 1], [0, 1]]], '
+                      '"b": [[0, 1], [0, 1]]}', "mixes parts"),
     }
 
     @pytest.mark.parametrize("case", FILE_CASES)

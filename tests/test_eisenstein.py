@@ -8,6 +8,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -328,6 +329,18 @@ class TestClosedForms:
             right = (zeta_completed(-2 * s1 + 1)
                      * closed_form_fourier_gl2(m, -s1, y))
             assert abs(left - right) <= 1e-8 * max(abs(left), 1.0)
+
+    def test_critical_line_against_mpmath(self):
+        # s = 1/2 + 20i puts K_s(10 pi) at an order comparable to its
+        # argument; every factor of the reference is built in mpmath
+        with mp.workdps(30):
+            s1 = mp.mpc(0.5, 20)
+            zeta_star = (mp.pi ** (-(2 * s1 + 1) / 2)
+                         * mp.gamma((2 * s1 + 1) / 2) * mp.zeta(2 * s1 + 1))
+            want = complex(2 * (1 + mp.mpf(5) ** (2 * s1)) * mp.mpf(5) ** (-s1)
+                           * mp.besselk(s1, 10 * mp.pi) / zeta_star)
+        got = closed_form_fourier_gl2(5, 0.5 + 20j, 1.0)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestGL2RecordedValues:

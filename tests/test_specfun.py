@@ -80,6 +80,15 @@ class TestBesselK:
             expect = complex(mp.besselk(nu, float(xi)))
             assert bi == pytest.approx(expect, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("nu, x", [(40.0, 10 * math.pi),
+                                       (0.5 + 20j, 10 * math.pi),
+                                       (15j, 30.0), (60.0, 100.0),
+                                       (100.0, 200.0)])
+    def test_large_order_against_mpmath(self, nu, x):
+        # |nu| comparable to x, where a fixed-order series in 1/x fails
+        expect = complex(mp.besselk(nu, x))
+        assert bessel_k(nu, x) == pytest.approx(expect, rel=1e-10, abs=0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_quadrature_overflow_raises(self):
         # cosh(nu t) overflows for |Re nu| beyond about 130: a ValueError
@@ -89,8 +98,8 @@ class TestBesselK:
         assert math.isfinite(abs(bessel_k(120.0, 2 * math.pi)))
 
     # both sides of each octave edge 2^k, where a point changes quadrature
-    # bucket, and of the asymptotic crossover x = 30, shuffled into one
-    # batch that spans both branches
+    # bucket, and of x = 30 inside the octave [16, 32), shuffled into one
+    # batch that spans every bucket
     EDGES = np.random.default_rng(0).permutation(
         [2.0**k * (1.0 + e) for k in range(-3, 5) for e in (-1e-12, 1e-12)]
         + [30.0 - 1e-9, 30.0 + 1e-9])

@@ -286,6 +286,15 @@ class TestValidation:
             decide_affine_symmetry(Partition((1, 1)), BLOCKS3,
                                    AffineMap.permutation((0, 1)))
 
+    def test_block_mixing_part_sizes(self):
+        # slots of one form have one degree: a block over parts (1, 2) is
+        # malformed, not a block the swap could preserve
+        part, blocks = Partition((1, 2)), BlockStructure((2,))
+        with pytest.raises(ValueError, match="mixes parts"):
+            decide_affine_symmetry(part, blocks, AffineMap.permutation((1, 0)))
+        with pytest.raises(ValueError, match="mixes parts"):
+            random_falsification(part, blocks, trials=3, seed=7)
+
     def test_bad_rational(self):
         with pytest.raises(TypeError):
             AffineMap(((0.5,),), (Fraction(0),))
