@@ -92,30 +92,31 @@ def _emit(report: dict, rows: list[dict], args) -> None:
                 fh.write(text + "\n")
 
 
-def _parse_ints(text: str, option: str, build=tuple):
-    """`build` of the comma-separated integers that `option` was given."""
+def _parse_list(text: str, option: str, build=tuple, item=int):
+    """`build` of the comma-separated `item`s that `option` was given."""
     try:
-        return build(tuple(int(v) for v in text.split(",")))
+        return build(tuple(item(v) for v in text.split(",")))
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad {option} {text!r}: {exc}") from exc
 
 
+def _read(path: str, what: str) -> str:
+    """The text of the `what` file at `path`."""
+    if not os.path.exists(path):
+        raise UsageError(f"{what} file not found: {path}")
+    with open(path) as fh:
+        return fh.read()
+
+
 def _parse_partition(text: str) -> Partition:
-    return _parse_ints(text, "--partition", Partition)
+    return _parse_list(text, "--partition", Partition)
 
 
 def _parse_blocks(text: str | None, partition: Partition) -> BlockStructure:
     """--blocks, or one block of every slot when it is not given."""
     if not text:
         return BlockStructure((partition.r,))
-    return _parse_ints(text, "--blocks", BlockStructure)
-
-
-def _parse_complex_list(text: str) -> list[complex]:
-    try:
-        return [complex(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
+    return _parse_list(text, "--blocks", BlockStructure)
 
 
 def _parse_forms(text: str | None, partition: Partition) -> FormSet:
@@ -139,20 +140,14 @@ def _parse_forms(text: str | None, partition: Partition) -> FormSet:
         elif piece in ("const", "1"):
             out.append(const_form())
         else:
-            if not os.path.exists(piece):
-                raise UsageError(f"form-spec file not found: {piece}")
-            with open(piece) as fh:
-                out.append(form_from_json(fh.read()))
+            out.append(form_from_json(_read(piece, "form-spec")))
     forms = FormSet(tuple(out))
-    try:
-        forms.check_against(partition)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    forms.check_against(partition)
     return forms
 
 
 def _parse_spectral(text: str, partition: Partition) -> SpectralPoint:
-    vals = _parse_complex_list(text)
+    vals = _parse_list(text, "--s", list, complex)
     try:
         if len(vals) == partition.r - 1:
             return SpectralPoint.from_leading(partition, vals)
@@ -162,7 +157,7 @@ def _parse_spectral(text: str, partition: Partition) -> SpectralPoint:
 
 
 def _parse_sigma(text: str, r: int) -> tuple[int, ...]:
-    sigma = tuple(v - 1 for v in _parse_ints(text, "--sigma"))
+    sigma = tuple(v - 1 for v in _parse_list(text, "--sigma"))
     if sorted(sigma) != list(range(r)):
         raise UsageError(f"--sigma {text!r} is not a permutation of 1..{r}")
     return sigma
@@ -249,11 +244,14 @@ def _cmd_extract(args) -> int:
     forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
     g = _parse_group_element(args, n)
-    m = _parse_ints(args.m, "--m")
+    m = _parse_list(args.m, "--m")
     if len(m) == 1 and n > 2:
         m = m + (1,) * (n - 2)
     request = FWRequest(partition=partition, forms=forms, M=m, s=s, g=g)
-    nodes = args.nodes if args.nodes is not None else (64 if n == 2 else 24)
+    # GL(3): 6 nodes at m <= 1, 4m + 2 above, so that the half grid of
+    # 2m + 1 nodes folds no mode (m', 1) with |m'| <= m onto (m, 1)
+    nodes = args.nodes if args.nodes is not None else (
+        64 if n == 2 else max(6, 4 * m[0] + 2))
     value = extract_fourier_coefficient(
         n, request, height=args.height, quad_nodes=nodes)
     # an odd node count has no half grid, so no node-doubling diagnostic ran
@@ -283,10 +281,7 @@ def _cmd_eval(args) -> int:
 def _cmd_uniqueness(args) -> int:
     partition = _parse_partition(args.partition)
     blocks = _parse_blocks(args.blocks, partition)
-    if not os.path.exists(args.map):
-        raise UsageError(f"map file not found: {args.map}")
-    with open(args.map) as fh:
-        mu = affine_map_from_json(fh.read())
+    mu = affine_map_from_json(_read(args.map, "map"))
     verdict = decide_affine_symmetry(partition, blocks, mu)
     report = {"command": "uniqueness", "accepted": verdict.accepted,
               "permutation": list(verdict.permutation)

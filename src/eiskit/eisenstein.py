@@ -43,8 +43,11 @@ class ConvergenceError(ValueError):
 class FWRequest:
     """A Fourier-Whittaker coefficient request for M = (m, 1, ..., 1).
 
-    m = 0 requests the constant term (quadrature extraction only; the
-    factored coefficient formula needs m >= 1).
+    The coefficient at g is the integral over the unipotent u (entries in
+    [0, 1)) of E(u g) e(-sum_i M_i u_{i,i+1}), with e(t) = exp(2 pi i t).
+    For g = x a k in Iwasawa form it is e(sum_i M_i x_{i,i+1}) times the
+    coefficient at a.  m = 0 requests the constant term (quadrature
+    extraction only; the factored coefficient formula needs m >= 1).
     """
 
     partition: Partition
@@ -654,6 +657,10 @@ def fw_formula(request: FWRequest,
     prod_{n_k >= 2} L*(1, Ad phi_k)^{-1/2} x lambda_{P,Phi}(M, s)
         x prod_k m_k^{-k(n-k)/2} x W_{alpha_{P,Phi}(s)}(M g).
 
+    W is taken in FWRequest's convention: with M g = x' a k in Iwasawa
+    form, W(M g) = e(sum_i x'_{i,i+1}) W(a), the phase e(m x_12 + x_23 + ...)
+    of g's own x, times the Whittaker function of the diagonal part.
+
     E* is the lattice sum times the completion factor
     prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l), so the coefficient of the
     raw lattice sum (what extract_fourier_coefficient measures) is
@@ -679,7 +686,8 @@ def fw_formula(request: FWRequest,
         wval = whittaker_gl2(alpha.entries[0], coords.y[0])
     else:
         wval = whittaker_gl3(alpha.entries, coords.y[1], coords.y[0])
-    return adj * lam * power * wval
+    phase = cmath.exp(2j * math.pi * float(np.trace(coords.x, offset=1)))
+    return adj * lam * power * wval * phase
 
 
 # --------------------------- functional equations ----------------------------

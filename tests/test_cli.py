@@ -358,6 +358,12 @@ class TestUsageErrors:
         "extract-negative-nodes": (["extract", "--partition", "1,1", "--s",
                                     "1.5", "--m", "1", "--height", "5",
                                     "--nodes", "-3"], "nodes"),
+        "eval-s-not-complex": (["eval", "--partition", "1,1", "--s",
+                                "1.5,x", "--height", "3"], "bad --s"),
+        "params-form-count": (["params", "--partition", "1,2", "--forms",
+                               "const", "--s", "0.5"], "form specs"),
+        "params-bad-mock-seed": (["params", "--partition", "1,2", "--forms",
+                                  "const,mock:x", "--s", "0.5"], "mock seed"),
         "eval-nan-s": (["eval", "--partition", "1,1", "--s", "nan",
                         "--height", "3"], "finite"),
         "eval-inf-s": (["eval", "--partition", "1,1", "--s", "inf",
@@ -458,6 +464,9 @@ class TestUsageErrors:
              "--m", "4"],
             '{"name":"x","degree":2,"alpha":[[0,0],[0,0]],'
             '"satake":{"2":[[1,0]]}}', "satake"),
+        "form-degree-2-in-degree-1-slot": (
+            ["params", "--partition", "1", "--forms", "FILE", "--s", "0"],
+            '{"name":"x","degree":2,"alpha":[[0,0],[0,0]]}', "degree 2"),
         "map-bare-entries": (MAP1, '{"A": [[1]], "b": [0]}', "A"),
         "map-not-an-object": (MAP1, '[1, 2]', "map"),
         "map-zero-denominator": (MAP1, '{"A": [[[1, 0]]], "b": [[0, 1]]}',
@@ -482,6 +491,13 @@ class TestUsageErrors:
                                        for a in argv))
         assert_usage_error(code, err)
         assert needle in err
+        assert out == ""
+
+    def test_missing_form_file_exits_2_with_one_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "params", "--partition", "2", "--forms",
+                             str(tmp_path / "absent.json"), "--s", "0")
+        assert_usage_error(code, err)
+        assert "form-spec file not found" in err
         assert out == ""
 
     # a height or node count beyond memory, without allocating: numpy says

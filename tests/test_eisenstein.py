@@ -552,11 +552,11 @@ class TestExtractionGL3:
             assert abs(got[k] - want) <= 1e-13 * abs(want), (k, got[k], want)
 
     @staticmethod
-    def _want(s_values):
-        """The request at g = 1, M = (1, 1), and its raw coefficient."""
+    def _want(s_values, m=1):
+        """The request at g = 1, M = (m, 1), and its raw coefficient."""
         p, forms = _borel(3), _trivial_forms(3)
         s = SpectralPoint(s_values, p)
-        req = FWRequest(p, forms, (1, 1), s, GroupElement.identity(3))
+        req = FWRequest(p, forms, (m, 1), s, GroupElement.identity(3))
         completion = completion_factor(p, forms, s, truncation=4000).value
         return req, fw_formula(req) / completion
 
@@ -565,17 +565,49 @@ class TestExtractionGL3:
         got = extract_fourier_coefficient(3, req, height=8, quad_nodes=6)
         assert abs(got - want) <= 5e-2 * abs(want), (got, want)
 
+    def test_non_diagonal_g(self):
+        # g = u a with x_12 = 0.3, x_23 = 0.45: both sides carry the phase
+        # e(x_12 + x_23) of M = (1, 1).  The truncation error at this y
+        # oscillates in H: 1.5e-1 at H = 8, 7.1e-2 at H = 10, then 2.8e-2,
+        # 1.2e-2 and 4.5e-3 at H = 12, 13 and 14.  The test runs at the top
+        # of that scan, not at the first H inside the tolerance
+        p, forms = _borel(3), _trivial_forms(3)
+        s = SpectralPoint((2.4, 0.1, -2.5), p)
+        u = np.array([[1, 0.3, 0], [0, 1, 0.45], [0, 0, 1]])
+        g = GroupElement(u @ np.diag([1.3, 1, 1 / 1.3]))
+        req = FWRequest(p, forms, (1, 1), s, g)
+        want = (fw_formula(req)
+                / completion_factor(p, forms, s, truncation=4000).value)
+        got = extract_fourier_coefficient(3, req, height=14, quad_nodes=6)
+        assert abs(got - want) <= 5e-2 * abs(want), (got, want)
+
     def test_real_point_through_cli(self, capsys):
-        # a one-entry GL(3) --m is padded to (m, 1)
+        # a one-entry GL(3) --m is padded to (m, 1), and --nodes defaults to
+        # 6 with the node-doubling diagnostic
         code = dispatch(["extract", "--partition", "1,1,1", "--s",
-                         "2.4,0.1,-2.5", "--m", "1", "--height", "8",
-                         "--nodes", "6"])
+                         "2.4,0.1,-2.5", "--m", "1", "--height", "8"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["m"] == [1, 1]
+        assert doc["nodes"] == 6 and doc["node_doubling"] is True
         got = complex(doc["value"]["re"], doc["value"]["im"])
         _, want = self._want((2.4, 0.1, -2.5))
         assert abs(got - want) <= 5e-2 * abs(want), (got, want)
+
+    def test_m2_default_nodes_through_cli(self, capsys):
+        # --m 2 defaults to 4m + 2 = 10 nodes: on 6 nodes the half grid of 3
+        # folds the (-1, 1) mode, 1300 times this coefficient, onto (2, 1)
+        # and the node-doubling check exits 2.  The value is 27% off the
+        # formula, the truncation error of so small a coefficient at H = 8
+        # (24 nodes give 2.3265e-8 against this grid's 2.3239e-8)
+        code = dispatch(["extract", "--partition", "1,1,1", "--s",
+                         "2.4,0.1,-2.5", "--m", "2", "--height", "8"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nodes"] == 10 and doc["node_doubling"] is True
+        got = complex(doc["value"]["re"], doc["value"]["im"])
+        _, want = self._want((2.4, 0.1, -2.5), m=2)
+        assert abs(got - want) <= 0.3 * abs(want), (got, want)
 
 
 class TestFWFormula:
@@ -607,17 +639,34 @@ class TestFWFormula:
 
     def test_gl2_raw_coefficient_is_completed_over_completion_factor(self):
         # the E* coefficient divided by the completion factor zeta*(2 s1 + 1)
-        # is the coefficient of the raw lattice sum, at every s, m and y
-        for s1, m, y in itertools.product((1.2, 1.5, 2.0, 1.1 + 0.5j),
-                                          (1, 2, 3, 6), (0.7, 1.0, 1.6)):
-            g = GroupElement.from_iwasawa(np.eye(2), (y,))
+        # is the coefficient of the raw lattice sum, at every s, m, x0 and y;
+        # off the diagonal it carries the phase e(m x0)
+        for s1, m, x0, y in itertools.product(
+                (1.2, 1.5, 2.0, 1.1 + 0.5j), (1, 2, 3, 6), (0.0, 0.3),
+                (0.7, 1.0, 1.6)):
+            g = GroupElement.from_iwasawa(np.array([[1, x0], [0, 1]]), (y,))
             s = SpectralPoint((s1, -s1), _borel(2))
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                             M=(m,), s=s, g=g)
             completion = completion_factor(_borel(2), _trivial_forms(2), s,
                                            truncation=4000).value
+            closed = (closed_form_fourier_gl2(m, s1, y)
+                      * cmath.exp(2j * math.pi * m * x0))
             assert fw_formula(req) / completion == pytest.approx(
-                closed_form_fourier_gl2(m, s1, y), rel=1e-10), (s1, m, y)
+                closed, rel=1e-10), (s1, m, x0, y)
+
+    def test_gl3_phase(self):
+        # fw_formula at u a is e(m x_12 + x_23) times fw_formula at a
+        p, forms = _borel(3), _trivial_forms(3)
+        s = SpectralPoint((2.4, 0.1, -2.5), p)
+        u = np.array([[1, 0.3, 0], [0, 1, 0.45], [0, 0, 1]])
+        a = np.diag([1.3, 1, 1 / 1.3])
+        for m in (1, 2):
+            at_ua, at_a = (fw_formula(FWRequest(p, forms, (m, 1), s,
+                                                GroupElement(h)))
+                           for h in (u @ a, a))
+            phase = cmath.exp(2j * math.pi * (m * 0.3 + 0.45))
+            assert abs(at_ua / at_a - phase) <= 1e-12, m
 
     def test_rejects_m_zero(self):
         req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),

@@ -2,6 +2,8 @@
 
 import cmath
 import dataclasses
+import functools
+import itertools
 import math
 
 import mpmath as mp
@@ -213,10 +215,15 @@ class TestCompletedL:
         assert val.value == pytest.approx(zeta_completed(2.5), rel=1e-10)
 
     def test_truncation_bound_honest(self):
-        f = mock_maass_form(2, 1)
-        coarse = lfunction_completed(f, 3.0, truncation=200)
-        fine = lfunction_completed(f, 3.0, truncation=4000)
-        assert abs(coarse.value - fine.value) <= coarse.bound
+        # s = 1.05 and 1.2 take the log-integral tails near the abscissa
+        for seed, s in itertools.product((1, 5, 67), (3.0, 1.05, 1.2)):
+            f, g = mock_maass_form(2, seed), mock_maass_form(2, seed + 1)
+            for value in (functools.partial(lfunction_completed, f),
+                          functools.partial(rankin_selberg_completed, f, g)):
+                coarse = value(s, truncation=200)
+                fine = value(s, truncation=4000)
+                assert abs(coarse.value - fine.value) <= coarse.bound, (
+                    seed, s, value.func.__name__)
 
     def test_rankin_selberg_trivial_factor(self):
         # phi x 1 degenerates to the L-function of phi
