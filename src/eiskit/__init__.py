@@ -4,7 +4,7 @@ Modules:
     core        parabolic bookkeeping, Iwasawa coordinates, Langlands parameters
     specfun     Gamma, completed zeta, K-Bessel
     forms       mock Maass forms, completed L-functions, Rankin-Selberg
-    hecke       Eisenstein Hecke eigenvalues (divisor sums)
+    hecke       Eisenstein Hecke eigenvalues (the divisor-sum engine)
     whittaker   GL(2)/GL(3) completed Whittaker functions, Jacquet oracle
     eisenstein  truncated lattice sums, Fourier extraction, FE checks
     uniqueness  exact affine-symmetry certification
@@ -26,7 +26,7 @@ from .core import (
     rho_phi,
 )
 from .forms import FormSet, FormSpec, const_form, mock_maass_form
-from .hecke import divisor_sigma, eis_hecke_eigenvalue
+from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (
     ConvergenceError,
     FWRequest,
@@ -35,7 +35,6 @@ from .eisenstein import (
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,
-    scattering_phi,
 )
 from .uniqueness import (
     AffineMap,

@@ -195,7 +195,7 @@ def _cmd_params(args) -> int:
     partition = _parse_partition(args.partition)
     forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
-    alpha = langlands_parameter(partition, forms, s)
+    alpha = langlands_parameter(forms, s)
     report = {"command": "params",
               "partition": list(partition.parts),
               "alpha": list(alpha.entries)}
@@ -209,7 +209,7 @@ def _cmd_divisor_sum(args) -> int:
     partition = _parse_partition(args.partition)
     forms = _parse_forms(args.forms, partition)
     s = _parse_spectral(args.s, partition)
-    value = eis_hecke_eigenvalue(partition, forms, s, args.m)
+    value = eis_hecke_eigenvalue(forms, s, args.m)
     print(_fmt(value) if value.imag != 0 or value.real != int(value.real)
           else str(int(round(value.real))))
     return 0
@@ -222,8 +222,7 @@ def _cmd_check_fe(args) -> int:
         (0,) * partition.r, partition)
     sigma = _parse_sigma(args.sigma, partition.r)
     report_obj = check_functional_equation(
-        partition, forms, s, sigma, mode=args.mode,
-        truncation=args.truncation)
+        forms, s, sigma, mode=args.mode, truncation=args.truncation)
     report = {"command": "check-fe", "mode": report_obj.mode,
               "sigma": list(report_obj.sigma),
               "passed": report_obj.passed,

@@ -124,8 +124,8 @@ class SpectralPoint:
         return cls(tuple(leading) + (last,), partition)
 
     def permuted(self, sigma: Sequence[int]) -> "SpectralPoint":
-        vals = tuple(self.values[sigma[j]] for j in range(self.partition.r))
-        return SpectralPoint(vals, self.partition.permuted(sigma))
+        partition = self.partition.permuted(sigma)
+        return SpectralPoint(tuple(self.values[i] for i in sigma), partition)
 
 
 @dataclass(frozen=True)
@@ -236,16 +236,14 @@ def rho_parabolic_star(partition: Partition) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def langlands_parameter(partition: Partition, forms, s: SpectralPoint
-                        ) -> LanglandsParameterVec:
+def langlands_parameter(forms, s: SpectralPoint) -> LanglandsParameterVec:
     """Flattened n-tuple (alpha_{j,k} + s_j), blocks in order.
 
     ``forms`` is a FormSet: ``forms.forms[j]`` has ``degree`` and
-    ``alpha``. Degree-1 factors contribute the single entry s_j.
+    ``alpha``; forms of degrees other than the parts of ``s.partition``
+    raise ValueError.  Degree-1 factors contribute the single entry s_j.
     """
-    forms.check_against(partition)
-    if s.partition.parts != partition.parts:
-        raise ValueError("spectral point belongs to a different partition")
+    forms.check_against(s.partition)
     entries: list[complex] = []
     for form, sj in zip(forms.forms, s.values):
         for a in form.alpha:
@@ -282,22 +280,22 @@ def iwasawa(g: GroupElement) -> tuple[IwasawaCoords, np.ndarray, float]:
     return IwasawaCoords(x, y), k, float(d)
 
 
-def power_function(partition: Partition, s: SpectralPoint, g: GroupElement
-                   ) -> complex:
-    """|g|^s_P = prod_i |det m_i|^{s_i} via the Iwasawa y-coordinates."""
-    if g.n != partition.n:
-        raise ValueError(f"matrix is {g.n}x{g.n}, partition has n={partition.n}")
+def power_function(s: SpectralPoint, g: GroupElement) -> complex:
+    """|g|^s_P = prod_i |det m_i|^{s_i}, P the partition of s, via the Iwasawa
+    y-coordinates: library API, and the lattice kernel's reference."""
+    if g.n != s.partition.n:
+        raise ValueError(f"matrix is {g.n}x{g.n}, partition has "
+                         f"n={s.partition.n}")
     coords, _, _ = iwasawa(g)
-    return power_from_y(partition, s.values, coords.y)
+    return power_from_y(s, coords.y)
 
 
-def power_from_y(partition: Partition, s_values: Sequence[complex],
-                 y: Sequence[float]) -> complex:
+def power_from_y(s: SpectralPoint, y: Sequence[float]) -> complex:
     """Power function evaluated directly on Iwasawa y-coordinates."""
     diag = _diag_from_y(y)
-    offs = partition.block_offsets()
+    offs = s.partition.block_offsets()
     out = 1.0 + 0.0j
-    for i, si in enumerate(s_values):
+    for i, si in enumerate(s.values):
         block_det = 1.0
         for k in range(offs[i], offs[i + 1]):
             block_det *= diag[k]

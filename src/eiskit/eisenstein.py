@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
                    langlands_parameter, rho_borel)
-from .forms import DEFAULT_TRUNCATION, FormSet, _primes_up_to, adjoint_l_at_one
-from .hecke import divisor_sigma, eis_hecke_eigenvalue
+from .forms import (DEFAULT_TRUNCATION, FormSet, _primes_up_to,
+                    adjoint_l_at_one, const_form)
+from .hecke import eis_hecke_eigenvalue
 from .specfun import _ROW_ENTRIES, bessel_k, zeta_completed
 from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
 
@@ -28,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "eval_eisenstein",
     "closed_form_fourier_gl2",
-    "scattering_phi",
     "extract_fourier_coefficient",
     "fw_formula",
     "check_functional_equation",
@@ -48,6 +48,7 @@ class FWRequest:
     For g = x a k in Iwasawa form it is e(sum_i M_i x_{i,i+1}) times the
     coefficient at a.  m = 0 requests the constant term (quadrature
     extraction only; the factored coefficient formula needs m >= 1).
+    ``s`` must be a point of ``partition``.
     """
 
     partition: Partition
@@ -64,6 +65,8 @@ class FWRequest:
         if self.g.n != self.partition.n:
             raise ValueError(f"g is {self.g.n} x {self.g.n}, "
                              f"partition has n = {self.partition.n}")
+        if self.s.partition != self.partition:
+            raise ValueError("spectral point belongs to a different partition")
         self.forms.check_against(self.partition)
 
 
@@ -267,8 +270,9 @@ def _smooth_window(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _window_band() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and values F(x) = sum_k c_k window(x / k_k) of the row weight.
+def _window_band() -> np.ndarray:
+    """F(x) = sum_k c_k window(x / k_k), the row weight, at the 2^16 + 1
+    nodes x = i / 2^16 of [0, 1].
 
     The scales k_k = linspace(0.3, 1, 24) average the smooth truncation over
     a band of cutoffs: the average of smooth windows is itself a smooth
@@ -282,8 +286,8 @@ def _window_band() -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(0.0, 1.0, (1 << 16) + 1)  # interpolated within 7e-10
     band = (weights / weights.sum()) @ np.array(
         [_smooth_window(xs / k) for k in scales])
-    xs.flags.writeable = band.flags.writeable = False
-    return xs, band
+    band.flags.writeable = False
+    return band
 
 
 def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -439,12 +443,20 @@ def _window_powers(rows: np.ndarray, mats: np.ndarray, e, shift: np.ndarray,
     sq = _norm_sq(rows, mats)
     inside = sq < height * height
     sq_in = sq[inside]
-    xs, band = _window_band()
-    weight = np.interp(np.sqrt(sq_in) / height, xs, band)
     power = np.zeros(sq.shape, np.result_type(e, 1.0))
-    power[inside] = weight * _powers(
+    power[inside] = _window_weight(sq_in, height) * _powers(
         sq_in, e, np.broadcast_to(shift, sq.shape)[inside])
     return inside.any(axis=1), power
+
+
+def _window_weight(sq: np.ndarray, height: int) -> np.ndarray:
+    """F(sqrt(sq) / H), H = `height`, for 0 <= sq < H^2: np.interp's bits
+    on the nodes i / 2^16, read at the direct index.  t is scaled by 2^16
+    after the division, so t - i is exact; it may round up to the last node."""
+    band = _window_band()
+    t = np.sqrt(sq) / height * (1 << 16)
+    i = np.minimum(t.astype(np.intp), len(band) - 2)
+    return band[i] + (t - i) * (band[i + 1] - band[i])
 
 
 def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
@@ -533,16 +545,12 @@ def eval_eisenstein(n: int, g: GroupElement, s: SpectralPoint, height: int
 # --------------------------- GL(2) closed forms -------------------------------
 
 
-def scattering_phi(s: complex) -> complex:
-    """phi(s) = zeta*(2s-1)/zeta*(2s)."""
-    return zeta_completed(2 * s - 1) / zeta_completed(2 * s)
-
-
 def closed_form_fourier_gl2(m: int, s1: complex, y: float) -> complex:
     """Fourier coefficient (as a function of y) of the GL(2) Borel series.
 
-    m = 0:   y^{s1+1/2} + phi(s1+1/2) y^{1/2-s1}
-    m != 0:  2 sigma_{2 s1}(m) |m|^{-s1} sqrt(y) K_{s1}(2 pi |m| y) / zeta*(2 s1 + 1)
+    m = 0:   y^{s1+1/2} + zeta*(2 s1) / zeta*(2 s1 + 1) y^{1/2-s1}
+    m != 0:  2 lambda(|m|) sqrt(y) K_{s1}(2 pi |m| y) / zeta*(2 s1 + 1), with
+             `fw_formula`'s eigenvalue lambda at (s1, -s1)
 
     The factor 2 for m != 0 makes this the exact e(m x)-coefficient of the
     lattice sum over the coprime bottom rows (c, d), one per +- pair, as
@@ -553,10 +561,13 @@ def closed_form_fourier_gl2(m: int, s1: complex, y: float) -> complex:
         raise ValueError("need y > 0")
     if m == 0:
         return (cmath.exp((s1 + 0.5) * math.log(y))
-                + scattering_phi(s1 + 0.5) * cmath.exp((0.5 - s1) * math.log(y)))
+                + zeta_completed(2 * s1) / zeta_completed(2 * s1 + 1)
+                * cmath.exp((0.5 - s1) * math.log(y)))
     am = abs(m)
-    return (2 * divisor_sigma(2 * s1, am) * am ** (-s1) * math.sqrt(y)
-            * bessel_k(s1, 2 * math.pi * am * y) / zeta_completed(2 * s1 + 1))
+    lam = eis_hecke_eigenvalue(FormSet((const_form(),) * 2),
+                               SpectralPoint((s1, -s1), Partition((1, 1))), am)
+    return (2 * lam * math.sqrt(y) * bessel_k(s1, 2 * math.pi * am * y)
+            / zeta_completed(2 * s1 + 1))
 
 
 # ------------------------- coefficient extraction ----------------------------
@@ -570,12 +581,15 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     exp(-2 pi i sum m_i u_{i,i+1}) over the unipotent coordinates, with
     `quad_nodes` nodes per axis.  When `quad_nodes` is even, the embedded
     half-grid provides a convergence diagnostic; a relative disagreement
-    beyond 0.25 raises QuadratureError.  A sum beyond the float range raises
-    ValueError.
+    beyond 0.25 raises QuadratureError.  A grid of N nodes folds the mode
+    m - N onto m, a smaller mode when N < 2m, so `quad_nodes` below
+    max(1, 2 max(M)) raises ValueError, as does a sum beyond the float range.
     """
     _check_series(n, request.s, height)
-    if quad_nodes < 1:
-        raise ValueError(f"quad_nodes must be >= 1, got {quad_nodes}")
+    need = max(1, 2 * max(request.M))
+    if quad_nodes < need:
+        raise ValueError(f"quad_nodes must be >= {need} for M = {request.M}"
+                         f", got {quad_nodes}: fewer fold a smaller mode")
     w, phase = _unipotent_grid(n, quad_nodes, request.g.entries.astype(float),
                                request.M)
     # an overflowing power, or a row norm that underflows to 0, makes the
@@ -673,13 +687,13 @@ def fw_formula(request: FWRequest,
     m = request.M[0]
     if m < 1:
         raise ValueError("the factored coefficient needs m >= 1")
-    lam = eis_hecke_eigenvalue(part, request.forms, request.s, m)
+    lam = eis_hecke_eigenvalue(request.forms, request.s, m)
     power = m ** (-0.5 * 1 * (n - 1))  # k = 1 entry of M
     adj = 1.0 + 0.0j
     for nk, form in zip(part.parts, request.forms.forms):
         if nk >= 2:
             adj *= adjoint_l_at_one(form, truncation).value ** (-0.5)
-    alpha = langlands_parameter(part, request.forms, request.s)
+    alpha = langlands_parameter(request.forms, request.s)
     m_diag = np.diag([float(m)] + [1.0] * (n - 1))
     coords, _, _ = iwasawa(GroupElement(m_diag @ request.g.entries))
     if n == 2:
@@ -693,13 +707,13 @@ def fw_formula(request: FWRequest,
 # --------------------------- functional equations ----------------------------
 
 
-def check_functional_equation(partition: Partition, forms: FormSet,
-                              s: SpectralPoint, sigma,
+def check_functional_equation(forms: FormSet, s: SpectralPoint, sigma,
                               mode: str = "symbolic",
                               truncation: int = DEFAULT_TRUNCATION
                               ) -> FEReport:
     """Check E*-coefficient covariance under a block permutation sigma.
 
+    P is the partition of s; forms of other degrees raise ValueError.
     symbolic: exact equality of the sorted Langlands parameters of
     (P, Phi, s) and (sigma P, sigma Phi, sigma s).  sigma moves each block
     with its form and its s_j, so this holds by construction; it checks the
@@ -707,22 +721,24 @@ def check_functional_equation(partition: Partition, forms: FormSet,
     numeric: fw_formula on both sides at g = 1 and M = (1, ..., 1).
     """
     sigma = tuple(sigma)
-    part2 = partition.permuted(sigma)
-    forms2 = forms.permuted(sigma)
+    partition = s.partition
+    forms.check_against(partition)
     s2 = s.permuted(sigma)
+    forms2 = forms.permuted(sigma)
     if mode == "symbolic":
         left, right = (
-            sorted(langlands_parameter(p, f, x).entries,
+            sorted(langlands_parameter(f, x).entries,
                    key=lambda z: (z.real, z.imag))
-            for p, f, x in ((partition, forms, s), (part2, forms2, s2)))
+            for f, x in ((forms, s), (forms2, s2)))
         return FEReport(mode="symbolic", sigma=sigma, passed=left == right,
                         metadata={"partition": partition.parts,
-                                  "sigma_partition": part2.parts})
+                                  "sigma_partition": s2.partition.parts})
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     g, big_m = GroupElement.identity(partition.n), (1,) * (partition.n - 1)
     left = fw_formula(FWRequest(partition, forms, big_m, s, g), truncation)
-    right = fw_formula(FWRequest(part2, forms2, big_m, s2, g), truncation)
+    right = fw_formula(FWRequest(s2.partition, forms2, big_m, s2, g),
+                       truncation)
     abs_residual = abs(left - right)
     rel_residual = abs_residual / max(abs(left), 1e-300)
     return FEReport(mode="numeric", sigma=sigma,

@@ -257,7 +257,8 @@ def _local_series(form: FormSpec, p: int, k: int) -> list[complex]:
 
 
 def hecke_extend(form: FormSpec, m: int) -> complex:
-    """Multiplicative extension of the stored prime eigenvalues to lambda(m)."""
+    """lambda(m) of one form, the multiplicative extension of its prime data:
+    library API, and the tests' reference for the sieve and Dirichlet sums."""
     out = 1.0 + 0.0j
     for p, k in _factorize(m).items():
         out *= _local_series(form, p, k)[k]
@@ -375,11 +376,12 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
     return TruncatedValue(pref * zfactor * acc, bound)
 
 
-def completion_factor(partition: Partition, forms: FormSet, s: SpectralPoint,
-                      truncation: int) -> TruncatedValue:
-    """prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l)."""
-    forms.check_against(partition)
-    r = partition.r
+def completion_factor(forms: FormSet, s: SpectralPoint, truncation: int
+                      ) -> TruncatedValue:
+    """prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l); forms of degrees other
+    than the parts of ``s.partition`` raise ValueError."""
+    forms.check_against(s.partition)
+    r = s.partition.r
     value = 1.0 + 0.0j
     rel_bound = 0.0
     for j in range(r):

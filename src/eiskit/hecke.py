@@ -1,21 +1,18 @@
-"""Divisor sums and Hecke eigenvalues of Eisenstein series.
+"""Hecke eigenvalues of Eisenstein series: the one divisor-sum engine.
 
-Both are multiplicative in m, so they are computed one prime power p^a || m
-at a time (never a global divisor scan), and m up to 1e6 with r up to 6
-stays fast.
+The eigenvalue is multiplicative in m, so it is computed one prime power
+p^a || m at a time (never a global divisor scan), and m up to 1e6 with r up
+to 6 stays fast.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .core import Partition, SpectralPoint
+from .core import SpectralPoint
 from .forms import FormSet, _factorize, _local_series
 
-__all__ = [
-    "divisor_sigma",
-    "eis_hecke_eigenvalue",
-]
+__all__ = ["eis_hecke_eigenvalue"]
 
 
 def _power(p: int, x: complex) -> complex:
@@ -27,34 +24,17 @@ def _power(p: int, x: complex) -> complex:
                          "range") from None
 
 
-def _finite(value: complex, what: str) -> complex:
-    if not cmath.isfinite(value):
-        raise ValueError(f"the {what} overflows the float range")
-    return value
-
-
-def divisor_sigma(s: complex, m: int) -> complex:
-    """sigma_s(m) = sum over positive divisors d of m of d^s
-    = prod over p^k || m of (1 + p^s + ... + p^{ks}).
-
-    A term or a result beyond the float range raises ValueError.
-    """
-    s = complex(s)
-    out = 1.0 + 0.0j
-    for p, k in _factorize(m).items():
-        out *= sum(_power(p, e * s) for e in range(k + 1))
-    return _finite(out, "divisor sum")
-
-
-def eis_hecke_eigenvalue(partition: Partition, forms: FormSet,
-                         s: SpectralPoint, m: int) -> complex:
+def eis_hecke_eigenvalue(forms: FormSet, s: SpectralPoint, m: int
+                         ) -> complex:
     """sum over c_1 ... c_r = m of prod_j lambda_{phi_j}(c_j) c_j^{s_j}.
 
     At p^a || m this is the x^a coefficient of the product over j of the
-    shifted local series sum_e lambda_j(p^e) p^{e s_j} x^e.  A term or a
-    result beyond the float range raises ValueError.
+    shifted local series sum_e lambda_j(p^e) p^{e s_j} x^e; m^{-s/2} sigma_s(m)
+    on the GL(2) constant forms at (s/2, -s/2).  Forms of degrees other than
+    the parts of ``s.partition``, or a term or result beyond the float
+    range, raise ValueError.
     """
-    forms.check_against(partition)
+    forms.check_against(s.partition)
     total = 1.0 + 0.0j
     for p, a in _factorize(m).items():
         local = [1.0 + 0.0j] + [0j] * a
@@ -64,5 +44,7 @@ def eis_hecke_eigenvalue(partition: Partition, forms: FormSet,
             local = [sum(local[i] * shifted[e - i] for i in range(e + 1))
                      for e in range(a + 1)]
         total *= local[a]
-    return _finite(total, "Hecke eigenvalue")
+    if not cmath.isfinite(total):
+        raise ValueError("the Hecke eigenvalue overflows the float range")
+    return total
 

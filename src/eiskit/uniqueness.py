@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Partition
-from .forms import FormSet, _json_pairs
+from .forms import FormSet, FormSpec, _json_pairs
 
 __all__ = [
     "AffineMap",
@@ -181,21 +181,20 @@ def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
                                        for t in shifts]})
 
 
-def enumerate_permutation_symmetries(partition: Partition, forms: FormSet
-                                     ) -> list[tuple[int, ...]]:
-    """All sigma in S_r with sigma-permuted parts and forms equal.
+def enumerate_permutation_symmetries(forms: FormSet) -> list[tuple[int, ...]]:
+    """All sigma in S_r with sigma-permuted forms equal (a form's degree is
+    its part): the paper's conjectured symmetry set of the divisor sum.
 
-    Built as the direct product of the symmetric groups of the equal-(part,
-    form) blocks, in lexicographic order.
+    Built as the direct product of the symmetric groups of the classes of
+    equal forms, adjacent or not, in lexicographic order.
     """
-    forms.check_against(partition)
-    blocks: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(partition.parts, forms.forms)):
-        blocks.setdefault(key, []).append(i)
+    blocks: dict[FormSpec, list[int]] = {}
+    for i, form in enumerate(forms.forms):
+        blocks.setdefault(form, []).append(i)
     out = []
     for images in itertools.product(
             *(itertools.permutations(idx) for idx in blocks.values())):
-        sigma = [0] * partition.r
+        sigma = [0] * len(forms.forms)
         for idx, image in zip(blocks.values(), images):
             for i, j in zip(idx, image):
                 sigma[i] = j

@@ -130,10 +130,9 @@ def test_07_divisor_sum_covariance():
                     for _ in range(p.r - 1)])
             for sigma in itertools.permutations(range(p.r)):
                 for m in m_values:
-                    left = eis_hecke_eigenvalue(p, forms, s, m)
+                    left = eis_hecke_eigenvalue(forms, s, m)
                     right = eis_hecke_eigenvalue(
-                        p.permuted(sigma), forms.permuted(sigma),
-                        s.permuted(sigma), m)
+                        forms.permuted(sigma), s.permuted(sigma), m)
                     resid = abs(left - right)
                     assert resid <= 1e-12 * max(1.0, abs(left)), (
                         parts, sigma, m, resid)
@@ -147,20 +146,19 @@ def test_08_symbolic_fe_closure():
     forms = FormSet((const_form(),) * 3)
     s = SpectralPoint((0.4, 0.1, -0.5), p)
     for sigma in itertools.permutations(range(3)):
-        assert check_functional_equation(p, forms, s, sigma,
+        assert check_functional_equation(forms, s, sigma,
                                          mode="symbolic").passed, sigma
     # (1,2) <-> (2,1)
     p12 = Partition((1, 2))
     forms12 = FormSet((const_form(), mock_maass_form(2, 1)))
     s12 = SpectralPoint.from_leading(p12, [0.8])
-    rep = check_functional_equation(p12, forms12, s12, (1, 0),
-                                    mode="symbolic")
+    rep = check_functional_equation(forms12, s12, (1, 0), mode="symbolic")
     assert rep.passed and tuple(rep.metadata["sigma_partition"]) == (2, 1)
     # (2,2) block swap
     p22 = Partition((2, 2))
     forms22 = FormSet((mock_maass_form(2, 1), mock_maass_form(2, 2)))
     s22 = SpectralPoint.from_leading(p22, [0.6])
-    assert check_functional_equation(p22, forms22, s22, (1, 0),
+    assert check_functional_equation(forms22, s22, (1, 0),
                                      mode="symbolic").passed
     assert time.time() - t0 < 5.0
 
@@ -222,7 +220,7 @@ def test_10_gl3_numeric_coefficient_vs_factored_formula(s_values):
     g = GroupElement.identity(3)
     req = FWRequest(partition=p, forms=forms, M=(1, 1), s=s, g=g)
     got = extract_fourier_coefficient(3, req, height=15, quad_nodes=12)
-    want = fw_formula(req) / completion_factor(p, forms, s,
+    want = fw_formula(req) / completion_factor(forms, s,
                                                truncation=4000).value
     assert abs(got - want) <= 5e-2 * abs(want), (got, want)
     assert time.time() - t0 < 900.0
@@ -243,7 +241,7 @@ def test_11_uniqueness_certification(monkeypatch):
     rng = random.Random(13)
     for part, forms, blocks in cases:
         r = part.r
-        expected = set(enumerate_permutation_symmetries(part, forms))
+        expected = set(enumerate_permutation_symmetries(forms))
         for sigma in itertools.permutations(range(r)):
             base = AffineMap.permutation(sigma)
             verdict = decide_affine_symmetry(part, blocks, base)

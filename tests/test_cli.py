@@ -175,12 +175,27 @@ class TestOutputs:
         assert "Borel" in err
 
     def test_extract_quadrature_failure_exits_2(self, capsys):
-        # 4 nodes cannot resolve e(5x): the node-doubling diagnostic fails
+        # 10 nodes pass the fold guard (N >= 2m), but the half grid of 5
+        # folds the constant term onto e(5x): the node-doubling diagnostic
+        # fails
         code, _, err = run(capsys, "extract", "--partition", "1,1",
                            "--s", "1.5", "--m", "5", "--height", "10",
-                           "--nodes", "4")
+                           "--nodes", "10")
         assert_usage_error(code, err)
         assert "node-doubling" in err
+
+    @pytest.mark.parametrize("m", ["6", "7"])
+    def test_extract_fold_guard_exits_2(self, capsys, m):
+        # 6 nodes fold the mode (m - 6, 1), larger than the (m, 1) mode, onto
+        # it in both the grid and its half grid, so the node-doubling check
+        # would pass on a wrong value: 0.128 at m = 6 against the formula's
+        # 1.0e-20.  Fewer than 2m nodes exit 2
+        code, out, err = run(capsys, "extract", "--partition", "1,1,1",
+                             "--s", "2.4,0.1,-2.5", "--m", m, "--height", "8",
+                             "--nodes", "6")
+        assert_usage_error(code, err)
+        assert "quad_nodes" in err
+        assert out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extract_gl2_ratio_beyond_float_range(self, capsys):

@@ -14,7 +14,7 @@ import pytest
 
 from eiskit.cli import dispatch
 from eiskit.core import (GroupElement, Partition, SpectralPoint,
-                         power_function, rho_borel)
+                         langlands_parameter, power_function, rho_borel)
 from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.eisenstein import (
     ConvergenceError,
@@ -24,15 +24,16 @@ from eiskit.eisenstein import (
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,
-    scattering_phi,
     _coprime_pairs,
     _coset_pairs_gl3,
     _row_powers,
     _shell_sums,
     _unipotent_grid,
     _window_band,
+    _window_weight,
     _windowed_sums,
 )
+from eiskit.hecke import eis_hecke_eigenvalue
 from eiskit.specfun import zeta_completed
 
 from coset_key import canonical_coset_form
@@ -177,7 +178,7 @@ class TestLatticeKernel:
                     (gamma[-1:], np.cross(gamma[1], gamma[2])[None]))
             # one factor per Plucker row, P[iv] Q[ia] with iv = ia = 0
             term = np.prod([f[0, 0] for f in _row_powers(g[None], s, *rows)])
-            want = power_function(borel, lam, GroupElement(gamma @ g))
+            want = power_function(lam, GroupElement(gamma @ g))
             assert abs(term - want) <= 1e-11 * abs(want)
 
 
@@ -299,12 +300,6 @@ class TestEval:
 
 
 class TestClosedForms:
-    def test_scattering_phi_functional_relation(self):
-        # phi(s) phi(1-s) = 1
-        for s in (0.75 + 2j, 1.2, 0.3 - 5j):
-            assert scattering_phi(s) * scattering_phi(1 - s) == pytest.approx(
-                1.0, rel=1e-10)
-
     def test_constant_term_fe(self):
         # constant term invariant under s1 -> -s1 after completion
         rng = np.random.default_rng(8)
@@ -518,6 +513,20 @@ class TestExtractionGL3:
         at_w, at_nw = _windowed_sums(np.stack([w, n @ w]), s, 4)
         assert abs(at_w - at_nw) <= 1e-12 * abs(at_w), (at_w, at_nw)
 
+    @pytest.mark.parametrize("height", [8, 10, 12])
+    def test_window_weight_is_interp(self, height):
+        # the direct index reads np.interp's bits: at every node, just below
+        # the window edge (where sqrt(sq) / H rounds up to 1 at H = 10) and
+        # at random points
+        band = _window_band()
+        xs = np.linspace(0.0, 1.0, len(band))
+        sq = np.concatenate([
+            (xs[:-1] * height) ** 2,
+            [np.nextafter(float(height * height), 0.0)],
+            np.random.default_rng(height).uniform(0, height * height, 10**6)])
+        want = np.interp(np.sqrt(sq) / height, xs, band)
+        assert np.array_equal(_window_weight(sq, height), want)
+
     @pytest.mark.parametrize("s", [(2.4, 0.1, -2.5),
                                    (2.1 + 0.4j, 0.2 - 0.1j, -2.3 - 0.3j)])
     def test_windowed_sum_skips_only_zero_terms(self, s):
@@ -539,7 +548,8 @@ class TestExtractionGL3:
         # over the Iwasawa diagonal a of gamma W: |vW| = a_3,
         # |a cof W| = a_2 a_3 and |det W| = a_1 a_2 a_3
         lam = [x + float(r) for x, r in zip(s, rho_borel(3))]
-        xs, band = _window_band()
+        band = _window_band()
+        xs = np.linspace(0.0, 1.0, len(band))
         for k, w in enumerate(w_mats):
             cof = np.linalg.det(w) * np.linalg.inv(w).T
             a3 = np.linalg.norm(v @ w, axis=1)
@@ -557,7 +567,7 @@ class TestExtractionGL3:
         p, forms = _borel(3), _trivial_forms(3)
         s = SpectralPoint(s_values, p)
         req = FWRequest(p, forms, (m, 1), s, GroupElement.identity(3))
-        completion = completion_factor(p, forms, s, truncation=4000).value
+        completion = completion_factor(forms, s, truncation=4000).value
         return req, fw_formula(req) / completion
 
     def test_complex_point(self):
@@ -577,7 +587,7 @@ class TestExtractionGL3:
         g = GroupElement(u @ np.diag([1.3, 1, 1 / 1.3]))
         req = FWRequest(p, forms, (1, 1), s, g)
         want = (fw_formula(req)
-                / completion_factor(p, forms, s, truncation=4000).value)
+                / completion_factor(forms, s, truncation=4000).value)
         got = extract_fourier_coefficient(3, req, height=14, quad_nodes=6)
         assert abs(got - want) <= 5e-2 * abs(want), (got, want)
 
@@ -619,7 +629,7 @@ class TestFWFormula:
         s = SpectralPoint((1.5, -1.5), _borel(2))
         req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                         M=(1,), s=s, g=g)
-        completion = completion_factor(_borel(2), _trivial_forms(2), s,
+        completion = completion_factor(_trivial_forms(2), s,
                                        truncation=4000).value
         assert completion == pytest.approx(zeta_completed(4.0), rel=1e-12)
         assert fw_formula(req) / completion == pytest.approx(
@@ -629,7 +639,7 @@ class TestFWFormula:
         # fw tracks the closed forms in m at the reference s
         g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
         s = SpectralPoint((1.5, -1.5), _borel(2))
-        completion = completion_factor(_borel(2), _trivial_forms(2), s,
+        completion = completion_factor(_trivial_forms(2), s,
                                        truncation=4000).value
         for m in (2, 3, 5):
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
@@ -648,7 +658,7 @@ class TestFWFormula:
             s = SpectralPoint((s1, -s1), _borel(2))
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                             M=(m,), s=s, g=g)
-            completion = completion_factor(_borel(2), _trivial_forms(2), s,
+            completion = completion_factor(_trivial_forms(2), s,
                                            truncation=4000).value
             closed = (closed_form_fourier_gl2(m, s1, y)
                       * cmath.exp(2j * math.pi * m * x0))
@@ -676,6 +686,42 @@ class TestFWFormula:
             fw_formula(req)
 
 
+class TestDatum:
+    """The partition is read from the spectral point, so a point of another
+    partition than the forms' degrees is refused, not evaluated."""
+
+    FORMS12 = FormSet((const_form(), mock_maass_form(2, 3)))
+    S21 = SpectralPoint((0.4, -0.8), Partition((2, 1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda f, s: eis_hecke_eigenvalue(f, s, 12),
+        lambda f, s: completion_factor(f, s, 4000),
+        langlands_parameter,
+        lambda f, s: check_functional_equation(f, s, (1, 0)),
+        lambda f, s: check_functional_equation(f, s, (1, 0), "numeric"),
+    ], ids=["eigenvalue", "completion", "langlands", "fe-symbolic",
+            "fe-numeric"])
+    def test_forms_of_another_partition(self, call):
+        with pytest.raises(ValueError, match="degree"):
+            call(self.FORMS12, self.S21)
+
+    def test_eigenvalue_gl2_forms_gl3_point(self):
+        # zip would drop s_3: the value at s = (2.4, 0.1, -2.5) would read
+        # as that of (2.4, 0.1), which is off the GL(2) hyperplane
+        s = SpectralPoint((2.4, 0.1, -2.5), _borel(3))
+        with pytest.raises(ValueError, match="partition of length 3"):
+            eis_hecke_eigenvalue(_trivial_forms(2), s, 12)
+
+    def test_request_point_of_another_partition(self):
+        for part, forms, s, n in (
+                (Partition((1, 2)), self.FORMS12, self.S21, 3),
+                (_borel(2), _trivial_forms(2),
+                 SpectralPoint((2.4, 0.1, -2.5), _borel(3)), 2)):
+            with pytest.raises(ValueError, match="different partition"):
+                FWRequest(part, forms, (1,) * (n - 1), s,
+                          GroupElement.identity(n))
+
+
 class TestFunctionalEquation:
     def test_symbolic_borel_gl3_all_sigma(self):
         import itertools
@@ -683,8 +729,7 @@ class TestFunctionalEquation:
         forms = _trivial_forms(3)
         s = SpectralPoint((0.4, 0.1, -0.5), p)
         for sigma in itertools.permutations(range(3)):
-            rep = check_functional_equation(p, forms, s, sigma,
-                                            mode="symbolic")
+            rep = check_functional_equation(forms, s, sigma, mode="symbolic")
             assert rep.passed, sigma
 
     def test_symbolic_p12_p21(self):
@@ -692,7 +737,7 @@ class TestFunctionalEquation:
         phi = mock_maass_form(2, 1)
         forms = FormSet((const_form(), phi))
         s = SpectralPoint.from_leading(p, [0.8])
-        rep = check_functional_equation(p, forms, s, (1, 0), mode="symbolic")
+        rep = check_functional_equation(forms, s, (1, 0), mode="symbolic")
         assert rep.passed
         assert tuple(rep.metadata["sigma_partition"]) == (2, 1)
 
@@ -700,12 +745,12 @@ class TestFunctionalEquation:
         p = Partition((2, 2))
         forms = FormSet((mock_maass_form(2, 1), mock_maass_form(2, 2)))
         s = SpectralPoint.from_leading(p, [0.6])
-        rep = check_functional_equation(p, forms, s, (1, 0), mode="symbolic")
+        rep = check_functional_equation(forms, s, (1, 0), mode="symbolic")
         assert rep.passed
 
     def test_numeric_gl2(self):
         p = _borel(2)
         forms = _trivial_forms(2)
         s = SpectralPoint((1.5, -1.5), p)
-        rep = check_functional_equation(p, forms, s, (1, 0), mode="numeric")
+        rep = check_functional_equation(forms, s, (1, 0), mode="numeric")
         assert rep.passed, rep.rel_residual

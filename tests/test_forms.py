@@ -262,7 +262,7 @@ class TestCompletedL:
         p = Partition((1, 1))
         s = SpectralPoint((1.5, -1.5), p)
         forms = FormSet((const_form(), const_form()))
-        val = completion_factor(p, forms, s, truncation=4000)
+        val = completion_factor(forms, s, truncation=4000)
         assert val.value == pytest.approx(zeta_completed(4.0), rel=1e-8)
 
     def test_completion_factor_const_first(self):
@@ -270,7 +270,7 @@ class TestCompletedL:
         p = Partition((1, 2))
         s = SpectralPoint.from_leading(p, [1.6])
         phi = mock_maass_form(2, 3)
-        val = completion_factor(p, FormSet((const_form(), phi)), s,
+        val = completion_factor(FormSet((const_form(), phi)), s,
                                 truncation=4000)
         want = lfunction_completed(phi, 1 + s.values[0] - s.values[1],
                                    truncation=4000)
@@ -283,5 +283,5 @@ class TestCompletedL:
         p = Partition((2, 2))
         f = mock_maass_form(2, 1)
         with pytest.raises(PoleError):
-            completion_factor(p, FormSet((f, f)), SpectralPoint((0, 0), p),
+            completion_factor(FormSet((f, f)), SpectralPoint((0, 0), p),
                               truncation=100)

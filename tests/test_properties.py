@@ -120,9 +120,9 @@ def test_eis_hecke_eigenvalue_multiplicative(m, n, re, im, seed):
     part = Partition((2, 1))
     forms = FormSet((mock_maass_form(2, seed), const_form()))
     s = SpectralPoint.from_leading(part, [complex(re, im)])
-    whole = eis_hecke_eigenvalue(part, forms, s, m * n)
-    split = (eis_hecke_eigenvalue(part, forms, s, m)
-             * eis_hecke_eigenvalue(part, forms, s, n))
+    whole = eis_hecke_eigenvalue(forms, s, m * n)
+    split = (eis_hecke_eigenvalue(forms, s, m)
+             * eis_hecke_eigenvalue(forms, s, n))
     assert whole == pytest.approx(split, rel=1e-10, abs=1e-300)
 
 

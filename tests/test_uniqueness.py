@@ -145,49 +145,44 @@ class TestDecision:
 class TestEnumeration:
     def test_borel_gl3_trivial_forms(self):
         forms = FormSet((const_form(),) * 3)
-        out = enumerate_permutation_symmetries(BOREL3, forms)
+        out = enumerate_permutation_symmetries(forms)
         assert sorted(out) == sorted(itertools.permutations(range(3)))
 
     def test_p22_distinct_forms(self):
-        part = Partition((2, 2))
         forms = FormSet((mock_maass_form(2, 1), mock_maass_form(2, 2)))
-        assert enumerate_permutation_symmetries(part, forms) == [(0, 1)]
+        assert enumerate_permutation_symmetries(forms) == [(0, 1)]
 
     def test_p22_equal_forms(self):
-        part = Partition((2, 2))
         phi = mock_maass_form(2, 1)
         forms = FormSet((phi, phi))
-        assert sorted(enumerate_permutation_symmetries(part, forms)) == [
+        assert sorted(enumerate_permutation_symmetries(forms)) == [
             (0, 1), (1, 0)]
 
     def test_forms_sharing_a_name_are_not_equal(self):
         # a form carrying mock:2's data under mock:1's name, as a JSON form
         # may, is a different form from mock:1
-        part = Partition((2, 2))
         impostor = dataclasses.replace(mock_maass_form(2, 2), name="mock2:1")
         genuine = mock_maass_form(2, 1)
         assert impostor.name == genuine.name
         assert impostor != genuine
         forms = FormSet((genuine, impostor))
-        assert enumerate_permutation_symmetries(part, forms) == [(0, 1)]
+        assert enumerate_permutation_symmetries(forms) == [(0, 1)]
 
     def test_mixed_partition(self):
-        part = Partition((1, 2, 1))
+        # P = (1, 2, 1): positions 0 and 2 hold the same form, non-adjacent,
+        # so sigma = (2, 1, 0) still qualifies
         forms = FormSet((const_form(), mock_maass_form(2, 1), const_form()))
-        # parts differ between positions 0 and 2? no: both are (1, const)
-        # but they are non-adjacent, so sigma = (2, 1, 0) still qualifies
-        out = enumerate_permutation_symmetries(part, forms)
+        out = enumerate_permutation_symmetries(forms)
         assert sorted(out) == [(0, 1, 2), (2, 1, 0)]
 
     def test_r6_mixed_forms_against_all_permutations(self):
         # the defining filter over all 6! permutations, same list and order
-        part = Partition((1,) * 6)
         names = ("a", "b", "a", "c", "b", "a")
         forms = FormSet(tuple(const_form(nm) for nm in names))
         expect = [sigma for sigma in itertools.permutations(range(6))
                   if all(names[sigma[i]] == names[i] for i in range(6))]
         assert len(expect) == 12  # 3! 2! 1!
-        assert enumerate_permutation_symmetries(part, forms) == expect
+        assert enumerate_permutation_symmetries(forms) == expect
 
 
 class TestFalsification:
