@@ -31,8 +31,7 @@ import numpy as np
 
 from .core import (GroupElement, Partition, SpectralPoint, langlands_parameter,
                    rho_borel, rho_parabolic, rho_parabolic_star, rho_phi)
-from .forms import (DEFAULT_PRIME_LIMIT, DEFAULT_TRUNCATION, FormSet,
-                    const_form, form_from_json, mock_maass_form)
+from .forms import FormSet, const_form, form_from_json, mock_maass_form
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
@@ -73,10 +72,10 @@ def _json_default(o):
 
 
 def _emit(report: dict, rows: list[dict], args) -> None:
-    """Write the report to --output (and echo the JSON to stdout)."""
+    """Write the report to --output, then echo the JSON to stdout, so that
+    a failed write prints nothing."""
     report = {"schema": 1, **report}
     text = json.dumps(report, default=_json_default, sort_keys=True, indent=2)
-    print(text)
     if getattr(args, "output", None):
         if getattr(args, "format", "json") == "csv":
             buf = io.StringIO()
@@ -90,6 +89,7 @@ def _emit(report: dict, rows: list[dict], args) -> None:
         else:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
+    print(text)
 
 
 def _parse_list(text: str, option: str, build=tuple, item=int):
@@ -221,8 +221,7 @@ def _cmd_check_fe(args) -> int:
     s = _parse_spectral(args.s, partition) if args.s else SpectralPoint(
         (0,) * partition.r, partition)
     sigma = _parse_sigma(args.sigma, partition.r)
-    report_obj = check_functional_equation(
-        forms, s, sigma, mode=args.mode, truncation=args.truncation)
+    report_obj = check_functional_equation(forms, s, sigma, mode=args.mode)
     report = {"command": "check-fe", "mode": report_obj.mode,
               "sigma": list(report_obj.sigma),
               "passed": report_obj.passed,
@@ -391,11 +390,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="1-indexed permutation, e.g. 2,1")
     p.add_argument("--mode", choices=["symbolic", "numeric"],
                    default="symbolic")
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
-                   help="length of the truncated L-series in numeric mode; "
-                        "mock: forms carry Hecke data only up to "
-                        f"{DEFAULT_PRIME_LIMIT} (DEFAULT_PRIME_LIMIT), so a "
-                        "longer series exits 2")
     p.set_defaults(func=_cmd_check_fe)
 
     p = sub.add_parser("extract", help="Fourier-coefficient extraction")

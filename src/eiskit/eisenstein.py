@@ -664,8 +664,7 @@ def _quadrature(series: np.ndarray, phase: np.ndarray
 
 # --------------------------- coefficient assembly ----------------------------
 
-def fw_formula(request: FWRequest,
-               truncation: int = DEFAULT_TRUNCATION) -> complex:
+def fw_formula(request: FWRequest) -> complex:
     """M-th Fourier coefficient of the completed series E*, factored.
 
     prod_{n_k >= 2} L*(1, Ad phi_k)^{-1/2} x lambda_{P,Phi}(M, s)
@@ -678,7 +677,8 @@ def fw_formula(request: FWRequest,
     E* is the lattice sum times the completion factor
     prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l), so the coefficient of the
     raw lattice sum (what extract_fourier_coefficient measures) is
-    fw_formula(request) / forms.completion_factor(...).value.
+    fw_formula(request) / forms.completion_factor(...).value.  Each
+    L(1, Ad phi_k) sums the first DEFAULT_TRUNCATION terms of its series.
     """
     part = request.partition
     n = part.n
@@ -692,7 +692,7 @@ def fw_formula(request: FWRequest,
     adj = 1.0 + 0.0j
     for nk, form in zip(part.parts, request.forms.forms):
         if nk >= 2:
-            adj *= adjoint_l_at_one(form, truncation).value ** (-0.5)
+            adj *= adjoint_l_at_one(form, DEFAULT_TRUNCATION).value ** (-0.5)
     alpha = langlands_parameter(request.forms, request.s)
     m_diag = np.diag([float(m)] + [1.0] * (n - 1))
     coords, _, _ = iwasawa(GroupElement(m_diag @ request.g.entries))
@@ -708,9 +708,7 @@ def fw_formula(request: FWRequest,
 
 
 def check_functional_equation(forms: FormSet, s: SpectralPoint, sigma,
-                              mode: str = "symbolic",
-                              truncation: int = DEFAULT_TRUNCATION
-                              ) -> FEReport:
+                              mode: str = "symbolic") -> FEReport:
     """Check E*-coefficient covariance under a block permutation sigma.
 
     P is the partition of s; forms of other degrees raise ValueError.
@@ -718,7 +716,8 @@ def check_functional_equation(forms: FormSet, s: SpectralPoint, sigma,
     (P, Phi, s) and (sigma P, sigma Phi, sigma s).  sigma moves each block
     with its form and its s_j, so this holds by construction; it checks the
     bookkeeping of `permuted` and `langlands_parameter`, not the series.
-    numeric: fw_formula on both sides at g = 1 and M = (1, ..., 1).
+    numeric: fw_formula on both sides at g = 1 and M = (1, ..., 1); the
+    report's metadata gives the L-series length, DEFAULT_TRUNCATION.
     """
     sigma = tuple(sigma)
     partition = s.partition
@@ -736,12 +735,11 @@ def check_functional_equation(forms: FormSet, s: SpectralPoint, sigma,
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     g, big_m = GroupElement.identity(partition.n), (1,) * (partition.n - 1)
-    left = fw_formula(FWRequest(partition, forms, big_m, s, g), truncation)
-    right = fw_formula(FWRequest(s2.partition, forms2, big_m, s2, g),
-                       truncation)
+    left = fw_formula(FWRequest(partition, forms, big_m, s, g))
+    right = fw_formula(FWRequest(s2.partition, forms2, big_m, s2, g))
     abs_residual = abs(left - right)
     rel_residual = abs_residual / max(abs(left), 1e-300)
     return FEReport(mode="numeric", sigma=sigma,
                     passed=bool(rel_residual <= 1e-6),
                     abs_residual=abs_residual, rel_residual=rel_residual,
-                    metadata={"truncation": truncation})
+                    metadata={"truncation": DEFAULT_TRUNCATION})

@@ -37,7 +37,7 @@ __all__ = [
     "form_from_json",
 ]
 
-DEFAULT_TRUNCATION = 4000  # terms of a truncated Dirichlet sum by default
+DEFAULT_TRUNCATION = 4000  # terms of the adjoint L-series in fw_formula
 DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
 
 
@@ -63,8 +63,9 @@ class TruncatedValue(NamedTuple):
 class FormSpec:
     """One tensor factor: degree, parity, Langlands parameter, Hecke data.
 
-    ``satake`` optionally stores `degree` unit-circle parameters per prime;
-    it makes prime-power eigenvalues well-defined for degree >= 3 mocks.
+    The data at a prime p is either ``satake[p]``, `degree` parameters
+    (what mock forms store), or ``hecke[p]`` = lambda(p) alone, which fixes
+    lambda(p^k) only in degree 2 or for k <= 1; `satake` is read first.
     Equality compares every field; the hash is that of the name.
     """
 
@@ -175,13 +176,14 @@ def _mock_angle(prime: int, seed: int) -> float:
 
 @lru_cache(maxsize=128)
 def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
-    """Deterministic synthetic Maass-form data, at every prime up to
-    `DEFAULT_PRIME_LIMIT`.
+    """Deterministic synthetic Maass-form data: Satake parameters at every
+    prime up to `DEFAULT_PRIME_LIMIT`, and no separate `hecke` entries
+    (lambda(p) is their sum).
 
-    Degree 2: lambda(p) = 2 cos(theta_p) with theta_p semicircle-distributed,
-    clamped away from 0, and distinct across seeds at each prime (2 cos is
-    injective on (0, pi)).  Degree >= 3 uses unit-modulus Satake parameters
-    with product 1, so prime-power eigenvalues extend multiplicatively.
+    Degree 2: (e^{i theta_p}, e^{-i theta_p}), so lambda(p) = 2 cos(theta_p),
+    with theta_p semicircle-distributed, clamped away from 0, and distinct
+    across seeds at each prime (2 cos is injective on (0, pi)).  Degree >= 3:
+    unit-modulus parameters with product 1.
     """
     if degree < 2:
         raise ValueError(f"mock forms require degree >= 2, got {degree}")
@@ -193,7 +195,6 @@ def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
     else:
         ts = [1.0 + 9.0 * rng.random() for _ in range(degree - 1)]
         alpha = tuple(1j * v for v in ts) + (-1j * sum(ts),)
-    hecke: dict[int, complex] = {}
     satake: dict[int, tuple[complex, ...]] = {}
     for p in _primes_up_to(DEFAULT_PRIME_LIMIT):
         if degree == 2:
@@ -205,13 +206,11 @@ def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
             beta = tuple(cmath.exp(1j * a) for a in angles)
             beta = beta + (cmath.exp(-1j * sum(angles)),)
         satake[p] = beta
-        hecke[p] = sum(beta)
     return FormSpec(
         name=f"mock{degree}:{seed}",
         degree=degree,
         parity=parity,
         alpha=alpha,
-        hecke=hecke,
         satake=satake,
     )
 

@@ -11,7 +11,7 @@ from eiskit.cli import dispatch
 from eiskit.core import GroupElement, Partition, SpectralPoint
 from eiskit.eisenstein import (FWRequest, eval_eisenstein,
                                extract_fourier_coefficient)
-from eiskit.forms import FormSet, const_form
+from eiskit.forms import DEFAULT_TRUNCATION, FormSet, const_form
 from eiskit.uniqueness import AffineMap, affine_map_to_json
 
 
@@ -88,6 +88,8 @@ class TestCheckFE:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["rel_residual"] <= 1e-6
+        # the L-series length is fixed, and reported
+        assert doc["metadata"]["truncation"] == DEFAULT_TRUNCATION
 
     def test_numeric_nonzero_residual_reports(self, capsys):
         # a nonzero residual once made `passed` an np.bool_, which the JSON
@@ -115,9 +117,8 @@ class TestCheckFE:
         # mock: forms carry Hecke data up to DEFAULT_PRIME_LIMIT = 4096; the
         # error is one unquoted line (HeckeDataError is a KeyError, whose
         # __str__ quotes)
-        code, _, err = run(capsys, "check-fe", "--partition", "2",
-                           "--forms", "mock:1", "--sigma", "1",
-                           "--mode", "numeric", "--truncation", "5000")
+        code, _, err = run(capsys, "divisor-sum", "--partition", "2",
+                           "--forms", "mock:1", "--s", "0", "--m", "4099")
         assert_usage_error(code, err)
         assert err.strip() == (
             "error: form 'mock2:1' has no Hecke data at prime 4099")
@@ -141,6 +142,15 @@ class TestOutputs:
         assert doc["schema"] == 1
         assert doc["alpha"][0] == {"im": 0.0, "re": 1.5}
         assert json.loads(out) == doc
+
+    def test_unwritable_report_file_prints_nothing(self, capsys, tmp_path):
+        # the report file is written before the report is printed, so a
+        # failed write exits 2 like every other usage error: stdout empty
+        code, out, err = run(capsys, "eval", "--partition", "1,1", "--s",
+                             "1.5", "--height", "10", "--output",
+                             str(tmp_path / "missing" / "x.json"))
+        assert_usage_error(code, err)
+        assert out == ""
 
     def test_csv_report_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
@@ -347,10 +357,11 @@ class TestUsageErrors:
                             "--forms"),
         "check-fe-no-forms": (["check-fe", "--partition", "1,1", "--sigma",
                                "2,1"], "--forms"),
-        "check-fe-zero-truncation": (["check-fe", "--partition", "2",
-                                      "--forms", "mock:1", "--sigma", "1",
-                                      "--mode", "numeric", "--truncation",
-                                      "0"], "truncation"),
+        # the L-series length is fixed at DEFAULT_TRUNCATION
+        "check-fe-truncation-option-gone": (
+            ["check-fe", "--partition", "2", "--forms", "mock:1", "--sigma",
+             "1", "--mode", "numeric", "--truncation", "100"],
+            "--truncation"),
         "falsify-zero-trials": (["falsify", "--partition", "1,1,1",
                                  "--trials", "0"], "trials"),
         "falsify-negative-trials": (["falsify", "--partition", "1,1,1",

@@ -35,7 +35,7 @@ class TestMockForms:
     def test_deterministic(self):
         f1 = mock_maass_form(2, 5)
         f2 = mock_maass_form(2, 5)
-        assert f1.hecke[101] == f2.hecke[101]
+        assert hecke_extend(f1, 101) == hecke_extend(f2, 101)
         assert f1.alpha == f2.alpha
 
     def test_distinct_nonzero_eigenvalues(self):
@@ -43,13 +43,21 @@ class TestMockForms:
         # which are distinct and nonzero
         forms = [mock_maass_form(2, s) for s in range(1, 6)]
         for p in (2, 3, 5, 7, 11, 97):
-            vals = [f.hecke[p] for f in forms]
+            vals = [hecke_extend(f, p) for f in forms]
             assert all(abs(v) > 1e-3 for v in vals)
             assert len({round(v.real, 8) for v in vals}) == len(vals)
 
     def test_ramanujan_bound(self):
         f = mock_maass_form(2, 3)
-        assert all(abs(v) <= 2.0 + 1e-12 for v in f.hecke.values())
+        assert all(abs(hecke_extend(f, p)) <= 2.0 + 1e-12 for p in f.satake)
+
+    def test_only_satake_data_stored(self):
+        # lambda(p) is the sum of the Satake parameters, stored once
+        for deg in (2, 3, 4):
+            f = mock_maass_form(deg, 2)
+            assert f.hecke == {}
+            assert hecke_extend(f, 97) == pytest.approx(sum(f.satake[97]),
+                                                        rel=1e-15)
 
     def test_parameter_sum_zero(self):
         for deg in (2, 3, 4):
@@ -60,7 +68,8 @@ class TestMockForms:
         f = mock_maass_form(2, 9)
         g = form_from_json(form_to_json(f))
         assert g == f
-        assert g.hecke[13] == pytest.approx(f.hecke[13], rel=1e-15)
+        assert hecke_extend(g, 13) == pytest.approx(hecke_extend(f, 13),
+                                                    rel=1e-15)
         # degree >= 3 prime powers come from the Satake parameters alone
         f3 = mock_maass_form(3, 2)
         g3 = form_from_json(form_to_json(f3))
@@ -70,9 +79,10 @@ class TestMockForms:
 
 
 def _hecke_only(form):
-    """The same form without its Satake parameters."""
+    """The same form with lambda(p), the sum of its Satake parameters, in
+    their place."""
     return FormSpec(form.name + ":hecke", form.degree, form.parity,
-                    form.alpha, dict(form.hecke))
+                    form.alpha, {p: sum(b) for p, b in form.satake.items()})
 
 
 class TestHeckeExtend:
@@ -86,7 +96,7 @@ class TestHeckeExtend:
         f = mock_maass_form(2, 4)
         for p in (2, 5, 13):
             assert hecke_extend(f, p * p) == pytest.approx(
-                f.hecke[p] ** 2 - 1, rel=1e-12)
+                hecke_extend(f, p) ** 2 - 1, rel=1e-12)
 
     def test_satake_power_sum_degree3(self):
         # lambda(p^k) = h_k(satake), checked against a direct monomial sum
@@ -138,6 +148,10 @@ class TestHeckeTable:
         table = _hecke_table(mock_maass_form(2, 1), DEFAULT_TRUNCATION)
         with pytest.raises(ValueError):
             table[2] = 0
+
+    def test_zero_truncation_raises(self):
+        with pytest.raises(ValueError, match="truncation"):
+            _hecke_table(mock_maass_form(2, 1), 0)
 
     def test_repeat_call_returns_the_same_table(self):
         f = mock_maass_form(2, 3)
