@@ -35,16 +35,15 @@ from .forms import FormSet, const_form, form_from_json, mock_maass_form
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
-from .specfun import PoleError, bessel_k, zeta_completed
+from .specfun import bessel_k, zeta_completed
 from .uniqueness import (BlockStructure, affine_map_from_json,
                          decide_affine_symmetry, random_falsification)
-from .whittaker import QuadratureError
 
 __all__ = ["main", "dispatch"]
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A command line the parser or an option's reader refuses."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,19 +75,18 @@ def _emit(report: dict, rows: list[dict], args) -> None:
     a failed write prints nothing."""
     report = {"schema": 1, **report}
     text = json.dumps(report, default=_json_default, sort_keys=True, indent=2)
-    if getattr(args, "output", None):
-        if getattr(args, "format", "json") == "csv":
+    if args.output:
+        body = text + "\n"
+        if args.format == "csv":
             buf = io.StringIO()
             if rows:
                 writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
                 writer.writeheader()
                 for row in rows:
                     writer.writerow({k: _fmt(v) for k, v in row.items()})
-            with open(args.output, "w") as fh:
-                fh.write(buf.getvalue())
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+            body = buf.getvalue()
+        with open(args.output, "w") as fh:
+            fh.write(body)
     print(text)
 
 
@@ -180,14 +178,9 @@ def _parse_group_element(args, n: int) -> GroupElement:
 
 def _cmd_rho(args) -> int:
     partition = _parse_partition(args.partition)
-    table = {
-        "parabolic": rho_parabolic(partition),
-        "borel": rho_borel(partition.n),
-        "phi": rho_phi(partition),
-        "parabolic_star": rho_parabolic_star(partition),
-    }
-    vec = table[args.kind]
-    print("[" + ", ".join(_fmt(v) for v in vec) + "]")
+    rho = {"parabolic": rho_parabolic, "borel": lambda p: rho_borel(p.n),
+           "phi": rho_phi, "parabolic_star": rho_parabolic_star}[args.kind]
+    print("[" + ", ".join(_fmt(v) for v in rho(partition)) + "]")
     return 0
 
 
@@ -433,11 +426,9 @@ def dispatch(argv: list[str]) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
-    except (UsageError, ValueError, KeyError, OSError, QuadratureError,
-            PoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a height or node count too large to hold
+    # every error an input causes is one of these (a MemoryError: a height
+    # or node count too large to hold); any other exception is a bug
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

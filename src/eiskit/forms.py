@@ -41,17 +41,8 @@ DEFAULT_TRUNCATION = 4000  # terms of the adjoint L-series in fw_formula
 DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
 
 
-class HeckeDataError(KeyError):
-    """Hecke data is missing for a required prime."""
-
-    def __init__(self, form_name: str, prime: int):
-        self.form_name = form_name
-        self.prime = prime
-        super().__init__(f"form {form_name!r} has no Hecke data at prime {prime}")
-
-    def __str__(self) -> str:
-        # KeyError.__str__ would quote the message
-        return self.args[0]
+class HeckeDataError(ValueError):
+    """A form has no Hecke data at a prime that a sum needs."""
 
 
 class TruncatedValue(NamedTuple):
@@ -66,6 +57,7 @@ class FormSpec:
     The data at a prime p is either ``satake[p]``, `degree` parameters
     (what mock forms store), or ``hecke[p]`` = lambda(p) alone, which fixes
     lambda(p^k) only in degree 2 or for k <= 1; `satake` is read first.
+    A degree-1 factor is the constant form: alpha = (0,), no hecke or satake.
     Equality compares every field; the hash is that of the name.
     """
 
@@ -95,7 +87,7 @@ class FormSpec:
                    *(b for beta in self.satake.values() for b in beta))):
             raise ValueError("alpha, hecke and satake values must be finite")
         check_sum_zero(alpha, "alpha entries")
-        if self.degree == 1 and (alpha != (0j,) or self.hecke):
+        if self.degree == 1 and (alpha != (0j,) or self.hecke or self.satake):
             raise ValueError("degree-1 factor must be the constant function")
 
     def __hash__(self):
@@ -245,7 +237,8 @@ def _local_series(form: FormSpec, p: int, k: int) -> list[complex]:
         for b in form.satake[p]:
             q = [c - b * d for c, d in zip(q + [0j], [0j] + q)]
     elif p not in form.hecke or (form.degree > 2 and k > 1):
-        raise HeckeDataError(form.name, p)
+        raise HeckeDataError(f"form {form.name!r} has no Hecke data at "
+                             f"prime {p}")
     else:
         q = [1.0, -form.hecke[p], 1.0][:3 if form.degree == 2 else 2]
     out = [1.0 + 0.0j]

@@ -16,10 +16,11 @@ __all__ = ["eis_hecke_eigenvalue"]
 
 
 def _power(p: int, x: complex) -> complex:
-    """p^x; a power beyond the float range raises ValueError."""
+    """p^x; an overflow, or an infinite x (2 * 1e308i), whose power Python
+    reports as a ZeroDivisionError, raises ValueError."""
     try:
         return complex(p) ** x
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ValueError(f"the divisor-sum term {p}^{x} overflows the float "
                          "range") from None
 

@@ -1,5 +1,6 @@
 """Complex special functions: Gamma (Lanczos), Riemann zeta (Euler-Maclaurin),
-completed zeta, and the K-Bessel function with complex order.
+completed zeta, and the K-Bessel function with complex order.  Every
+failure an argument can cause is a ValueError: a pole, or an overflow.
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -20,13 +21,28 @@ __all__ = [
 ]
 
 
-class PoleError(ZeroDivisionError):
-    """Evaluation requested at (or too near) a pole."""
+class PoleError(ValueError):
+    """An argument at (or too near) a pole."""
 
     def __init__(self, where: complex, what: str):
-        self.where = where
-        self.what = what
         super().__init__(f"{what} has a pole at {where}")
+
+
+def _in_float_range(f):
+    """f(z), or a ValueError naming f and z where f's complex arithmetic
+    overflows: an OverflowError, a ZeroDivisionError (Python's report of an
+    infinite phase) or a value that is not finite."""
+    @wraps(f)
+    def checked(z):
+        try:
+            value = f(z)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not cmath.isfinite(value):
+            raise ValueError(f"{f.__name__} at {complex(z)} overflows the "
+                             "float range")
+        return value
+    return checked
 
 
 # ------------------------------ Gamma ---------------------------------------
@@ -46,34 +62,29 @@ _LANCZOS_C = (
 )
 
 
-def _lanczos_series(z: complex) -> complex:
+def _lanczos(z: complex) -> complex:
+    """Gamma(z) for Re z >= 1/2."""
+    w = z - 1.0
     acc = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    return acc
+        acc += _LANCZOS_C[i] / (w + i)
+    base = w + _LANCZOS_G + 0.5
+    return (math.sqrt(2.0 * math.pi) * base ** (w + 0.5) * cmath.exp(-base)
+            * acc)
 
 
-def _is_nonpositive_int(z: complex) -> bool:
-    return (abs(z.imag) < 1e-14 and z.real <= 0.5
-            and abs(z.real - round(z.real)) < 1e-14)
-
-
+@_in_float_range
 def gamma_complex(z: complex) -> complex:
-    """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2."""
+    """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2;
+    a pole raises PoleError, an overflow ValueError."""
     z = complex(z)
-    if _is_nonpositive_int(z):
+    if (abs(z.imag) < 1e-14 and z.real <= 0.5
+            and abs(z.real - round(z.real)) < 1e-14):
         raise PoleError(complex(round(z.real)), "Gamma")
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    w = z - 1.0
-    base = w + _LANCZOS_G + 0.5
-    return (
-        math.sqrt(2.0 * math.pi)
-        * base ** (w + 0.5)
-        * cmath.exp(-base)
-        * _lanczos_series(w)
-    )
+        return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
+    return _lanczos(z)
 
 
 # ------------------------------- Zeta ---------------------------------------
@@ -89,11 +100,13 @@ def _bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
+@_in_float_range
 def zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin summation.
 
     50 terms and 20 Bernoulli corrections give ~1e-14 absolute error for
-    |Im s| <= 50 and Re s >= -2.
+    |Im s| <= 50 and Re s >= -2.  The pole raises PoleError, and a sum that
+    overflows (at Re s = 2, from |Im s| about 1e8) ValueError.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
@@ -111,13 +124,16 @@ def zeta(s: complex) -> complex:
     return acc
 
 
+@_in_float_range
 def zeta_completed(s: complex) -> complex:
-    """zeta*(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1."""
+    """zeta*(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1.
+
+    An overflow raises ValueError naming the function that overflows:
+    zeta_completed(400) is about 1e273, but gamma_complex(200) overflows."""
     s = complex(s)
-    if abs(s) < 1e-14:
-        raise PoleError(0.0, "zeta*")
-    if abs(s - 1.0) < 1e-14:
-        raise PoleError(1.0, "zeta*")
+    for pole in (0.0, 1.0):
+        if abs(s - pole) < 1e-14:
+            raise PoleError(pole, "zeta*")
     return (
         cmath.exp(-0.5 * s * math.log(math.pi))
         * gamma_complex(0.5 * s)
@@ -136,8 +152,6 @@ _ROW_ENTRIES = 1 << 16
 
 def bessel_k(nu: complex, x: float) -> complex:
     """K-Bessel function of complex order nu at real x > 0."""
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
     return complex(bessel_k_batch(nu, [x])[0])
 
 

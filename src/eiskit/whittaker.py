@@ -30,8 +30,8 @@ class DomainError(ValueError):
     """Parameters outside the region where the requested evaluation is defined."""
 
 
-class QuadratureError(RuntimeError):
-    """Quadrature failed to meet the requested tolerance."""
+class QuadratureError(ValueError):
+    """Quadrature missed its tolerance at the arguments it was given."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved estimate {achieved:.3e})")

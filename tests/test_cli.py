@@ -11,14 +11,23 @@ from eiskit.cli import dispatch
 from eiskit.core import GroupElement, Partition, SpectralPoint
 from eiskit.eisenstein import (FWRequest, eval_eisenstein,
                                extract_fourier_coefficient)
-from eiskit.forms import DEFAULT_TRUNCATION, FormSet, const_form
+from eiskit.forms import (DEFAULT_TRUNCATION, FormSet, HeckeDataError,
+                          const_form, form_to_json, mock_maass_form)
+from eiskit.specfun import PoleError
 from eiskit.uniqueness import AffineMap, affine_map_to_json
+from eiskit.whittaker import QuadratureError
 
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _mock_with_alpha(alpha) -> str:
+    """The form-spec JSON of mock:1 (degree 2) with `alpha` in place."""
+    doc = json.loads(form_to_json(mock_maass_form(2, 1)))
+    return json.dumps({**doc, "alpha": alpha})
 
 
 def assert_usage_error(code, err):
@@ -39,6 +48,17 @@ class TestRho:
                            "--kind", "borel")
         assert code == 0
         assert out.strip() == "[1/2, -1/2]"
+
+    def test_only_requested_kind_evaluated(self, capsys, monkeypatch):
+        # rho_borel(3000000) alone would take seconds and hundreds of MB
+        def refuse(n):
+            raise AssertionError("rho_borel evaluated for --kind parabolic")
+
+        monkeypatch.setattr(cli, "rho_borel", refuse)
+        code, out, _ = run(capsys, "rho", "--partition", "3000000",
+                           "--kind", "parabolic")
+        assert code == 0
+        assert out.strip() == "[0]"
 
     def test_bad_partition_exits_2(self, capsys):
         code, _, err = run(capsys, "rho", "--partition", "1,x")
@@ -115,8 +135,8 @@ class TestCheckFE:
 
     def test_truncation_beyond_mock_data_exits_2(self, capsys):
         # mock: forms carry Hecke data up to DEFAULT_PRIME_LIMIT = 4096; the
-        # error is one unquoted line (HeckeDataError is a KeyError, whose
-        # __str__ quotes)
+        # error is one unquoted line (HeckeDataError is a ValueError, whose
+        # message is printed as it is)
         code, _, err = run(capsys, "divisor-sum", "--partition", "2",
                            "--forms", "mock:1", "--s", "0", "--m", "4099")
         assert_usage_error(code, err)
@@ -439,6 +459,11 @@ class TestUsageErrors:
         "divisor-sum-result-overflows": (
             ["divisor-sum", "--partition", "1,1,1", "--s=200,200", "--m",
              "720720"], "overflows"),
+        # at p = 2 the exponent 2 * 1e308i of the p^2 term is infinite, a
+        # complex power that Python reports as ZeroDivisionError
+        "divisor-sum-infinite-phase": (
+            ["divisor-sum", "--partition", "1,1", "--s=1e308j", "--m", "12"],
+            "overflows"),
         # cosh(nu t) of the K-Bessel quadrature overflows at nu = 140
         "check-fe-bessel-overflows": (
             ["check-fe", "--partition", "1,1", "--forms", "const,const",
@@ -469,8 +494,11 @@ class TestUsageErrors:
         assert needle in err
         assert out == ""
 
-    # malformed form-spec and affine-map files, passed where FILE stands
+    # malformed form-spec and affine-map files, whose path replaces FILE
     PARAMS = ["params", "--partition", "2", "--forms", "FILE", "--s", "0"]
+    CHECK_FE_21 = ["check-fe", "--partition", "2,1", "--forms",
+                   "FILE,const", "--s", "0.3", "--sigma", "2,1", "--mode",
+                   "numeric"]
     MAP11 = ["uniqueness", "--partition", "1,1", "--map", "FILE"]
     MAP1 = ["uniqueness", "--partition", "1", "--map", "FILE"]
     FILE_CASES = {
@@ -493,6 +521,20 @@ class TestUsageErrors:
         "form-degree-2-in-degree-1-slot": (
             ["params", "--partition", "1", "--forms", "FILE", "--s", "0"],
             '{"name":"x","degree":2,"alpha":[[0,0],[0,0]]}', "degree 2"),
+        # the constant form's factor is 1 - x: no Satake data replaces it
+        "form-satake-in-degree-1": (
+            ["divisor-sum", "--partition", "1", "--forms", "FILE", "--s",
+             "0", "--m", "2"], '{"name":"c","degree":1,"alpha":[[0,0]],'
+                               '"satake":{"2":[[0.5,0]]}}', "constant"),
+        # mock:1's data with alpha = (200, -200): Gamma(200.5) of the
+        # adjoint L-value overflows; at alpha = (1e308 i, -1e308 i) the
+        # Lanczos power has an infinite phase
+        "form-gamma-overflows": (CHECK_FE_21,
+                                 _mock_with_alpha([[200, 0], [-200, 0]]),
+                                 "gamma_complex at (200.5+0j) overflows"),
+        "form-gamma-infinite-phase": (
+            CHECK_FE_21, _mock_with_alpha([[0, 1e308], [0, -1e308]]),
+            "gamma_complex at (0.5+1e+308j) overflows"),
         "map-bare-entries": (MAP1, '{"A": [[1]], "b": [0]}', "A"),
         "map-not-an-object": (MAP1, '[1, 2]', "map"),
         "map-zero-denominator": (MAP1, '{"A": [[[1, 0]]], "b": [[0, 1]]}',
@@ -513,7 +555,7 @@ class TestUsageErrors:
         argv, text, needle = self.FILE_CASES[case]
         path = tmp_path / "doc.json"
         path.write_text(text)
-        code, out, err = run(capsys, *(str(path) if a == "FILE" else a
+        code, out, err = run(capsys, *(a.replace("FILE", str(path))
                                        for a in argv))
         assert_usage_error(code, err)
         assert needle in err
@@ -541,6 +583,22 @@ class TestUsageErrors:
         assert_usage_error(code, err)
         assert needle in err
         assert out == ""
+
+    def test_error_classes_are_value_errors(self):
+        # dispatch catches ValueError, OSError and MemoryError alone
+        for exc in (cli.UsageError, HeckeDataError, PoleError,
+                    QuadratureError):
+            assert issubclass(exc, ValueError)
+
+    def test_other_exception_propagates(self, monkeypatch):
+        # an exception outside that family is a bug, not an input error
+        def bug(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "eval_eisenstein", bug)
+        with pytest.raises(KeyError):
+            dispatch(["eval", "--partition", "1,1", "--s", "1.5",
+                      "--height", "5"])
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -29,12 +29,24 @@ class TestGamma:
         with pytest.raises(PoleError):
             gamma_complex(-3)
 
+    def test_overflow_raises_value_error(self):
+        with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
+            gamma_complex(200.5)
+
 
 class TestZeta:
     def test_against_mpmath(self):
         for s in [2.0, 0.5 + 14.134j, 3 - 2j, 0.25 + 5j, -0.5 + 1j]:
             expect = complex(mp.zeta(s))
             assert zeta(s) == pytest.approx(expect, rel=1e-10)
+
+    def test_overflow_raises_value_error(self):
+        # the Bernoulli corrections overflow, and the sum would be nan+nanj
+        with pytest.raises(ValueError, match="zeta at .* overflows"):
+            zeta(2 + 1e300j)
+        # zeta*(400) is about 1e273, but its factor Gamma(200) overflows
+        with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
+            zeta_completed(400)
 
     def test_euler_value(self):
         assert zeta(2).real == pytest.approx(math.pi**2 / 6, rel=1e-13)
