@@ -58,6 +58,8 @@ class FWRequest:
     g: GroupElement
 
     def __post_init__(self):
+        if self.partition.n < 2:
+            raise ValueError("a Fourier coefficient needs n >= 2")
         if len(self.M) != self.partition.n - 1 or self.M[0] < 0:
             raise ValueError("M must be an (n-1)-tuple with m >= 0")
         if any(v != 1 for v in self.M[1:]):
@@ -677,7 +679,7 @@ def fw_formula(request: FWRequest) -> complex:
     E* is the lattice sum times the completion factor
     prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l), so the coefficient of the
     raw lattice sum (what extract_fourier_coefficient measures) is
-    fw_formula(request) / forms.completion_factor(...).value.  Each
+    fw_formula(request) / forms.completion_factor(...).  Each
     L(1, Ad phi_k) sums the first DEFAULT_TRUNCATION terms of its series.
     """
     part = request.partition
@@ -692,7 +694,7 @@ def fw_formula(request: FWRequest) -> complex:
     adj = 1.0 + 0.0j
     for nk, form in zip(part.parts, request.forms.forms):
         if nk >= 2:
-            adj *= adjoint_l_at_one(form, DEFAULT_TRUNCATION).value ** (-0.5)
+            adj *= adjoint_l_at_one(form) ** (-0.5)
     alpha = langlands_parameter(request.forms, request.s)
     m_diag = np.diag([float(m)] + [1.0] * (n - 1))
     coords, _, _ = iwasawa(GroupElement(m_diag @ request.g.entries))

@@ -2,8 +2,8 @@
 Hecke-eigenvalue extension, and completed L-factors.
 
 Mock forms stand in for genuine Maass cusp forms everywhere; every identity
-verified downstream is algebraic in the lambda-values.  All truncated
-Dirichlet evaluations return a (value, bound) pair.
+verified downstream is algebraic in the lambda-values.  Every Dirichlet
+series is summed over its first DEFAULT_TRUNCATION terms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .specfun import PoleError, gamma_complex, zeta, zeta_completed
 __all__ = [
     "FormSpec",
     "FormSet",
-    "TruncatedValue",
     "HeckeDataError",
     "const_form",
     "mock_maass_form",
@@ -37,17 +35,12 @@ __all__ = [
     "form_from_json",
 ]
 
-DEFAULT_TRUNCATION = 4000  # terms of the adjoint L-series in fw_formula
+DEFAULT_TRUNCATION = 4000  # terms of every truncated Dirichlet series
 DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
 
 
 class HeckeDataError(ValueError):
     """A form has no Hecke data at a prime that a sum needs."""
-
-
-class TruncatedValue(NamedTuple):
-    value: complex
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -258,17 +251,16 @@ def hecke_extend(form: FormSpec, m: int) -> complex:
 
 
 @lru_cache(maxsize=16)
-def _hecke_table(form: FormSpec, truncation: int) -> np.ndarray:
-    """[0, lambda(1), ..., lambda(T)], T = truncation, by one prime sieve;
-    read-only, built once per (form, T).
+def _hecke_table(form: FormSpec) -> np.ndarray:
+    """[0, lambda(1), ..., lambda(T)], T = DEFAULT_TRUNCATION, by one prime
+    sieve; read-only, built once per form.
 
     The pass for p sets lambda(m p^e) = lambda(m) lambda(p^e) for every m
     prime to p.  Passes run over increasing p, so the last pass to write n
     is that of its largest prime, and it reads lambda(m) after m's own last
     pass: every entry ends up right.
     """
-    if truncation < 1:
-        raise ValueError(f"need truncation >= 1, got {truncation}")
+    truncation = DEFAULT_TRUNCATION
     lam = [0j] * (truncation + 1)
     lam[1] = 1.0 + 0.0j
     for p in _primes_up_to(truncation):
@@ -294,31 +286,9 @@ def _dirichlet_sum(coeffs: np.ndarray, s: complex) -> complex:
 
 # --------------------------- completed L-factors ----------------------------
 
-def _divisor_tail(truncation: int, sigma: float, power: int) -> float:
-    """Estimate of sum_{n>T} d(n)^power n^{-sigma}.
-
-    Uses the crude uniform bounds d(n) <= 16 n^{1/4} (power 1) and
-    d(n)^2 <= 256 n^{1/2} (power 2), valid far beyond desk scale; falls back
-    to a log-integral estimate when sigma is too close to the abscissa.
-    """
-    t = float(truncation)
-    if power == 1:
-        if sigma > 1.3:
-            return 16.0 * t ** (1.25 - sigma) / (sigma - 1.25)
-        return t ** (1.0 - sigma) * (math.log(t) / max(sigma - 1.0, 1e-9)
-                                     + 1.0 / max(sigma - 1.0, 1e-9) ** 2)
-    if sigma > 1.55:
-        return 256.0 * t ** (1.5 - sigma) / (sigma - 1.5)
-    return t ** (1.0 - sigma) * (1.0 + math.log(t)) ** 3 / max(sigma - 1.0, 1e-9)
-
-
-def lfunction_completed(form: FormSpec, s: complex, truncation: int
-                        ) -> TruncatedValue:
-    """L*(s, phi) for a degree-2 form, by truncated Dirichlet summation.
-
-    Requires Re s > 1.  The returned bound covers the dropped tail using
-    |lambda(n)| <= d(n).
-    """
+def lfunction_completed(form: FormSpec, s: complex) -> complex:
+    """L*(s, phi) for a degree-2 form, by truncated Dirichlet summation;
+    requires Re s > 1."""
     if form.degree != 2:
         raise ValueError(f"degree-2 form required, got degree {form.degree}")
     s = complex(s)
@@ -331,13 +301,11 @@ def lfunction_completed(form: FormSpec, s: complex, truncation: int
         * gamma_complex(0.5 * (s + a1 + eps))
         * gamma_complex(0.5 * (s + a2 + eps))
     )
-    acc = _dirichlet_sum(_hecke_table(form, truncation), s)
-    bound = abs(pref) * 2.0 * _divisor_tail(truncation, s.real, power=1)
-    return TruncatedValue(pref * acc, bound)
+    return pref * _dirichlet_sum(_hecke_table(form), s)
 
 
-def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
-                             truncation: int) -> TruncatedValue:
+def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex
+                             ) -> complex:
     """Completed L*(s, phi_j x phi_l) with the degenerate cases split off:
     zeta*(s) when both factors are constant, a single completed L-function
     when exactly one is, and the rank-one convolution otherwise.
@@ -346,11 +314,11 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
     if fj.is_constant and fl.is_constant:
         if abs(s) < 1e-9 or abs(s - 1.0) < 1e-9:
             raise PoleError(s, "zeta*")
-        return TruncatedValue(zeta_completed(s), 1e-12)
+        return zeta_completed(s)
     if fj.is_constant:
-        return lfunction_completed(fl, s, truncation)
+        return lfunction_completed(fl, s)
     if fl.is_constant:
-        return lfunction_completed(fj, s, truncation)
+        return lfunction_completed(fj, s)
     if fj.degree != 2 or fl.degree != 2:
         raise ValueError("convolution is implemented for degrees 1 and 2 only")
     if s.real <= 1.0:
@@ -362,20 +330,16 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex,
         for al in fl.alpha:
             pref *= gamma_complex(0.5 * (s + aj + al))
     zfactor = zeta(2.0 * s)
-    acc = _dirichlet_sum(_hecke_table(fj, truncation)
-                         * _hecke_table(fl, truncation), s)
-    bound = abs(pref * zfactor) * 2.0 * _divisor_tail(truncation, s.real, power=2)
-    return TruncatedValue(pref * zfactor * acc, bound)
+    acc = _dirichlet_sum(_hecke_table(fj) * _hecke_table(fl), s)
+    return pref * zfactor * acc
 
 
-def completion_factor(forms: FormSet, s: SpectralPoint, truncation: int
-                      ) -> TruncatedValue:
+def completion_factor(forms: FormSet, s: SpectralPoint) -> complex:
     """prod_{j<l} L*(1 + s_j - s_l, phi_j x phi_l); forms of degrees other
     than the parts of ``s.partition`` raise ValueError."""
     forms.check_against(s.partition)
     r = s.partition.r
     value = 1.0 + 0.0j
-    rel_bound = 0.0
     for j in range(r):
         for l in range(j + 1, r):
             arg = 1.0 + s.values[j] - s.values[l]
@@ -384,31 +348,23 @@ def completion_factor(forms: FormSet, s: SpectralPoint, truncation: int
                 or forms.forms[j] == forms.forms[l]
             ):
                 raise PoleError(arg, f"L*(s, phi_{j} x phi_{l})")
-            v, b = rankin_selberg_completed(
-                forms.forms[j], forms.forms[l], arg, truncation
-            )
-            value *= v
-            if abs(v) > 0:
-                rel_bound += b / abs(v)
-    return TruncatedValue(value, abs(value) * rel_bound)
+            value *= rankin_selberg_completed(forms.forms[j], forms.forms[l],
+                                              arg)
+    return value
 
 
-def adjoint_l_at_one(form: FormSpec, truncation: int) -> TruncatedValue:
+def adjoint_l_at_one(form: FormSpec) -> complex:
     """Normalization constant Gamma(1/2+a1) Gamma(1/2+a2) L(1, Ad phi).
 
     The Dirichlet part is the truncated Rankin-Selberg diagonal
-    sum_{n<=T} |lambda(n)|^2 / n.  Its partial sums grow slowly, so the
-    reported bound is a drift estimate over a doubling window rather than an
-    absolute tail bound; the value is used only as a normalization constant.
+    sum_{n<=T} |lambda(n)|^2 / n, T = DEFAULT_TRUNCATION.
     """
     if form.degree != 2:
         raise ValueError(f"degree-2 form required, got degree {form.degree}")
     a1, a2 = form.alpha
     pref = gamma_complex(0.5 + a1) * gamma_complex(0.5 + a2)
-    lam = _hecke_table(form, truncation)
-    acc = _dirichlet_sum(lam * lam.conj(), 1)
-    drift = 2.0 * abs(acc) * math.log(2.0) / math.log(max(truncation, 3))
-    return TruncatedValue(pref * acc, abs(pref) * drift)
+    lam = _hecke_table(form)
+    return pref * _dirichlet_sum(lam * lam.conj(), 1)
 
 
 # ------------------------------ JSON format ---------------------------------

@@ -1,6 +1,7 @@
 """Complex special functions: Gamma (Lanczos), Riemann zeta (Euler-Maclaurin),
 completed zeta, and the K-Bessel function with complex order.  Every
-failure an argument can cause is a ValueError: a pole, or an overflow.
+failure an argument can cause is a ValueError: a pole, an overflow, or an
+argument beyond zeta's checked range.
 """
 
 from __future__ import annotations
@@ -102,15 +103,21 @@ def _bernoulli(k: int) -> Fraction:
 
 @_in_float_range
 def zeta(s: complex) -> complex:
-    """Riemann zeta by Euler-Maclaurin summation.
+    """Riemann zeta by Euler-Maclaurin summation: 50 terms and 20 Bernoulli
+    corrections, for |Im s| <= 150 only (ValueError beyond).
 
-    50 terms and 20 Bernoulli corrections give ~1e-14 absolute error for
-    |Im s| <= 50 and Re s >= -2.  The pole raises PoleError, and a sum that
-    overflows (at Re s = 2, from |Im s| about 1e8) ValueError.
+    Against mpmath on that range, where |zeta(s)| > 0.1, the relative error
+    is at most 5e-14 for Re s >= 1, 4e-13 at Re s = 0 and 1/2, and 4e-12,
+    3e-10 and 1e-8 at Re s = -1, -2 and -3; at Re s = 2 it is already 6e-5
+    at |Im s| = 300.  The pole raises PoleError, and a sum that overflows
+    (at s = -200) ValueError.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
         raise PoleError(1.0, "zeta")
+    if abs(s.imag) > 150.0:
+        raise ValueError(f"zeta at {s} is outside its checked range "
+                         "|Im s| <= 150")
     n = 50
     acc = sum(k ** (-s) for k in range(1, n))
     acc += n ** (1.0 - s) / (s - 1.0)

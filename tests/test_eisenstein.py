@@ -282,6 +282,13 @@ class TestEval:
                       s=SpectralPoint((1.5, -1.5), _borel(2)),
                       g=GroupElement.identity(3))
 
+    def test_request_at_n_one_rejected(self):
+        # at n = 1, M = () holds no m to read
+        with pytest.raises(ValueError, match="n >= 2"):
+            FWRequest(_borel(1), _trivial_forms(1), (),
+                      SpectralPoint((0,), _borel(1)),
+                      GroupElement.identity(1))
+
     def test_huge_well_conditioned_g_overflows(self):
         # every row norm is at least 1e200: the conditioning check must not
         # itself overflow, and the sum's own error names the overflow
@@ -567,7 +574,7 @@ class TestExtractionGL3:
         p, forms = _borel(3), _trivial_forms(3)
         s = SpectralPoint(s_values, p)
         req = FWRequest(p, forms, (m, 1), s, GroupElement.identity(3))
-        completion = completion_factor(forms, s, truncation=4000).value
+        completion = completion_factor(forms, s)
         return req, fw_formula(req) / completion
 
     def test_complex_point(self):
@@ -586,8 +593,7 @@ class TestExtractionGL3:
         u = np.array([[1, 0.3, 0], [0, 1, 0.45], [0, 0, 1]])
         g = GroupElement(u @ np.diag([1.3, 1, 1 / 1.3]))
         req = FWRequest(p, forms, (1, 1), s, g)
-        want = (fw_formula(req)
-                / completion_factor(forms, s, truncation=4000).value)
+        want = fw_formula(req) / completion_factor(forms, s)
         got = extract_fourier_coefficient(3, req, height=14, quad_nodes=6)
         assert abs(got - want) <= 5e-2 * abs(want), (got, want)
 
@@ -629,8 +635,7 @@ class TestFWFormula:
         s = SpectralPoint((1.5, -1.5), _borel(2))
         req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                         M=(1,), s=s, g=g)
-        completion = completion_factor(_trivial_forms(2), s,
-                                       truncation=4000).value
+        completion = completion_factor(_trivial_forms(2), s)
         assert completion == pytest.approx(zeta_completed(4.0), rel=1e-12)
         assert fw_formula(req) / completion == pytest.approx(
             closed_form_fourier_gl2(1, 1.5, 1.0), rel=1e-10)
@@ -639,8 +644,7 @@ class TestFWFormula:
         # fw tracks the closed forms in m at the reference s
         g = GroupElement.from_iwasawa(np.eye(2), (1.0,))
         s = SpectralPoint((1.5, -1.5), _borel(2))
-        completion = completion_factor(_trivial_forms(2), s,
-                                       truncation=4000).value
+        completion = completion_factor(_trivial_forms(2), s)
         for m in (2, 3, 5):
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                             M=(m,), s=s, g=g)
@@ -658,8 +662,7 @@ class TestFWFormula:
             s = SpectralPoint((s1, -s1), _borel(2))
             req = FWRequest(partition=_borel(2), forms=_trivial_forms(2),
                             M=(m,), s=s, g=g)
-            completion = completion_factor(_trivial_forms(2), s,
-                                           truncation=4000).value
+            completion = completion_factor(_trivial_forms(2), s)
             closed = (closed_form_fourier_gl2(m, s1, y)
                       * cmath.exp(2j * math.pi * m * x0))
             assert fw_formula(req) / completion == pytest.approx(
@@ -695,7 +698,7 @@ class TestDatum:
 
     @pytest.mark.parametrize("call", [
         lambda f, s: eis_hecke_eigenvalue(f, s, 12),
-        lambda f, s: completion_factor(f, s, 4000),
+        completion_factor,
         langlands_parameter,
         lambda f, s: check_functional_equation(f, s, (1, 0)),
         lambda f, s: check_functional_equation(f, s, (1, 0), "numeric"),

@@ -41,12 +41,25 @@ class TestZeta:
             assert zeta(s) == pytest.approx(expect, rel=1e-10)
 
     def test_overflow_raises_value_error(self):
-        # the Bernoulli corrections overflow, and the sum would be nan+nanj
-        with pytest.raises(ValueError, match="zeta at .* overflows"):
+        # 2 + 1e300i meets the range guard before its Bernoulli corrections
+        # overflow; at -300 the terms k^300 themselves overflow
+        with pytest.raises(ValueError, match="zeta at .* checked range"):
             zeta(2 + 1e300j)
+        with pytest.raises(ValueError, match="zeta at .* overflows"):
+            zeta(-300)
         # zeta*(400) is about 1e273, but its factor Gamma(200) overflows
         with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
             zeta_completed(400)
+
+    def test_beyond_checked_range_raises(self):
+        # unguarded, the sum gives -5.8e15 - 1.2e14i at 2 + 1000i, where
+        # |zeta(2 + it)| <= pi^2 / 6
+        for f in (zeta, zeta_completed):
+            with pytest.raises(ValueError,
+                               match=r"zeta at \(2\+1000j\) is outside"):
+                f(2 + 1000j)
+        assert zeta(2 + 150j) == pytest.approx(
+            complex(mp.zeta(2 + 150j)), rel=1e-13)
 
     def test_euler_value(self):
         assert zeta(2).real == pytest.approx(math.pi**2 / 6, rel=1e-13)
