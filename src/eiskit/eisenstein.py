@@ -141,19 +141,18 @@ def _primitive_box(height: int, gcd: np.ndarray
     """Sign-canonical primitive x in Z^3 with |x| <= `height` (sup-norm).
 
     Returns the vectors, ordered by their raveled index in the box
-    [-height, height]^3, and the table from that raveled index to the
-    vector's position (-1 off the set).
+    [-height, height]^3, and the table from the raveled index of x or of -x
+    to the vector's position (-1 off the set).
     """
-    span = np.arange(-height, height + 1, dtype=np.int32)
-    box = np.stack(np.meshgrid(span, span, span, indexing="ij"),
-                   axis=-1).reshape(-1, 3)
+    box = np.indices((2 * height + 1,) * 3, np.int32).reshape(3, -1).T - height
     ab = np.abs(box)
-    lead = np.where(box[:, 0] != 0, box[:, 0],
-                    np.where(box[:, 1] != 0, box[:, 1], box[:, 2]))
-    keep = (gcd[gcd[ab[:, 0], ab[:, 1]], ab[:, 2]] == 1) & (lead > 0)
+    keep = gcd[gcd[ab[:, 0], ab[:, 1]], ab[:, 2]] == 1
+    # the vectors past 0 in raveled order are those whose first nonzero
+    # entry is > 0, and -x sits at the reversed index of x
+    keep[:len(box) // 2] = False
     index = np.full(len(box), -1, np.int32)
     index[keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
-    return box[keep], index
+    return box[keep], np.maximum(index, index[::-1])
 
 
 # the pairs depend on the heights only; a few (hv, ha) bound the memory held
@@ -178,24 +177,26 @@ def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
     half-plane x > 0, or x = 0 < y, holds one a of each +- pair.  For each
     (v, x) the slabs |a_j|, |a_k| <= height_a bound y to an interval, so no
     candidate is rejected for its size and the work grows with the pairs
-    returned.  Intermediates stay within a few times height * height_a, so
-    int32 serves throughout.
+    returned.  Along it the raveled box index of a is linear in y, and one
+    lookup in the `_primitive_box` table gives the position of a or -a, or
+    -1 where gcd(x, y) > 1.  Each term (a_c + height_a) stride_c of an
+    index is below (2 height_a + 1)^3, so int32 serves to heights of 600.
     """
     ha = height_a
-    # |x| <= ha and |y| <= 2 ha index the gcd table as well as |v| <= height
-    width = max(height, 2 * ha) + 1
-    gcd = np.gcd.outer(*[np.arange(width, dtype=np.int32)] * 2)
+    # gcd(r, m) for the inverses, gcd(|v_j|, c) and the primitive boxes
+    gcd = np.gcd.outer(*[np.arange(max(height, ha) + 1, dtype=np.int32)] * 2)
     inv = np.zeros((height + 1, height + 1), np.int32)  # r^-1 mod m
     for m in range(2, height + 1):
         for r in range(1, m):
             if gcd[r, m] == 1:
                 inv[m, r] = pow(r, -1, m)
-    v_all, _ = _primitive_box(height, gcd)
     a_all, a_index = _primitive_box(ha, gcd)
+    v_all = a_all if height == ha else _primitive_box(height, gcd)[0]
     pivot = np.abs(v_all).argmax(axis=1)
     ivs, ias = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     for k in range(3):
         i, j = (c for c in range(3) if c != k)
+        si, sj, sk = ((2 * ha + 1) ** (2 - c) for c in (i, j, k))  # strides
         on_k = np.flatnonzero(pivot == k).astype(np.int32)
         for lo in range(0, len(on_k), _V_BLOCK):
             sel = on_k[lo:lo + _V_BLOCK]
@@ -216,31 +217,27 @@ def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
             x = _ramp(nx)
             xt, xe = x * t[row], x * e[row]
             mr, br = m[row], b[row]
-            y_lo = -np.minimum((ha + xt) // mr, (ha + xe) // br)
-            y_hi = np.minimum((ha - xt) // mr, (ha - xe) // br)
-            first = np.cumsum(nx) - nx  # the x = 0 pair of each v
-            y_lo[first] = np.maximum(y_lo[first], 1)
-            ny = np.maximum(y_hi - y_lo + 1, 0)
-            pair = np.repeat(np.arange(row.size, dtype=np.int32), ny)
-            y = _ramp(ny) + y_lo[pair]
-            keep = gcd[x[pair], np.abs(y)] == 1
-            pair, y = pair[keep], y[keep]
-            r, xp = row[pair], x[pair]
-            a = np.empty((pair.size, 3), np.int32)
-            a[:, i] = xp * g[r]
-            a[:, j] = xt[pair] + y * m[r]
-            a[:, k] = xp * a1k[r] + y * a2k[r]
-            # a_i >= 0, and a_j > 0 where a_i = 0: a lead entry below zero
-            # can only be a_k
-            flip = (a[:, k] < 0) & ~a[:, :k].any(axis=1)
-            np.negative(a, out=a, where=flip[:, None])
-            ivs.append(sel[r])
-            ias.append(a_index[np.ravel_multi_index((a + ha).T,
-                                                    (2 * ha + 1,) * 3)])
+            # floats divide faster, and floor quotients of int32s exactly
+            y_lo = -np.floor(np.minimum((ha + xt) / mr, (ha + xe) / br))
+            y_hi = np.floor(np.minimum((ha - xt) / mr, (ha - xe) / br))
+            np.maximum(y_lo, 1, out=y_lo, where=x == 0)  # y > 0 at x = 0
+            ny = np.maximum(y_hi - y_lo + 1, 0).astype(np.int32)
+            live = ny > 0
+            r, x, y, ny = row[live], x[live], y_lo[live], ny[live]
+            # box index of a at y = y_lo, and its step per unit of y
+            start = ((x * g[r] + ha) * si + (xt[live] + y * m[r] + ha) * sj
+                     + (x * a1k[r] + y * a2k[r] + ha) * sk).astype(np.int32)
+            idx = (np.repeat(start, ny)
+                   + _ramp(ny) * np.repeat((m * sj + a2k * sk)[r], ny))
+            ia = a_index.take(idx)
+            keep = ia >= 0
+            ivs.append(np.repeat(sel[r], ny)[keep])
+            ias.append(ia[keep])
     iv, ia = np.concatenate(ivs), np.concatenate(ias)
     # int16 keys take numpy's linear-time radix sort
-    heights = np.maximum(np.abs(v_all).max(axis=1)[iv],
-                         np.abs(a_all).max(axis=1)[ia]).astype(np.int16)
+    v_h, a_h = (functools.reduce(np.maximum, np.abs(rows).T).astype(np.int16)
+                for rows in (v_all, a_all))
+    heights = np.maximum(v_h.take(iv), a_h.take(ia))
     order = np.argsort(heights, kind="stable")
     upto = np.cumsum(np.bincount(heights, minlength=max(height, ha) + 1))
     out = (v_all, a_all, iv[order], ia[order], upto)

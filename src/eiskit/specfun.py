@@ -135,17 +135,17 @@ def zeta(s: complex) -> complex:
 def zeta_completed(s: complex) -> complex:
     """zeta*(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1.
 
-    An overflow raises ValueError naming the function that overflows:
+    For Re s < 0, where the sum of `zeta` fails, it is zeta*(1 - s).  An
+    overflow raises ValueError naming the function that overflows:
     zeta_completed(400) is about 1e273, but gamma_complex(200) overflows."""
     s = complex(s)
     for pole in (0.0, 1.0):
         if abs(s - pole) < 1e-14:
             raise PoleError(pole, "zeta*")
-    return (
-        cmath.exp(-0.5 * s * math.log(math.pi))
-        * gamma_complex(0.5 * s)
-        * zeta(s)
-    )
+    if s.real < 0:
+        return zeta_completed(1 - s)
+    return (cmath.exp(-0.5 * s * math.log(math.pi)) * gamma_complex(0.5 * s)
+            * zeta(s))
 
 
 # ----------------------------- K-Bessel -------------------------------------

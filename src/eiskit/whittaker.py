@@ -13,7 +13,7 @@ import cmath
 import math
 import numpy as np
 
-from .specfun import bessel_k, bessel_k_batch, gamma_complex
+from .specfun import _ROW_ENTRIES, bessel_k, bessel_k_batch, gamma_complex
 
 __all__ = [
     "DomainError",
@@ -185,23 +185,26 @@ def _bessel_k_interp(nu: complex, x: np.ndarray) -> np.ndarray:
     Tabulates K_nu once on a logarithmic grid and evaluates by 4-point
     Lagrange interpolation in log x; with 20k points per decade the
     interpolation error is below 1e-10 relative, while the Bessel cost drops
-    from one evaluation per point to one per table node.
+    from one evaluation per point to one per table node.  Chunks of
+    `_ROW_ENTRIES` points of the 1-D x bound the temporaries.
     """
     llo, lhi = math.log(x.min()) - 1e-9, math.log(x.max()) + 1e-9
     count = max(int((lhi - llo) / math.log(10) * 20000), 8)
     grid = np.linspace(llo, lhi, count)
     table = bessel_k_batch(nu, np.exp(grid))
-    h = grid[1] - grid[0]
-    t = (np.log(x) - llo) / h
-    i = np.clip(t.astype(int), 1, count - 3)
-    f = t - i
-    # cubic Lagrange on the 4 nodes around each target
-    w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
-    w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
-    w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
-    w3 = (f + 1.0) * f * (f - 1.0) / 6.0
-    return (w0 * table[i - 1] + w1 * table[i] + w2 * table[i + 1]
-            + w3 * table[i + 2])
+    out = np.empty(x.shape, table.dtype)
+    for lo in range(0, x.size, _ROW_ENTRIES):
+        t = (np.log(x[lo:lo + _ROW_ENTRIES]) - llo) / (grid[1] - grid[0])
+        i = np.clip(t.astype(int), 1, count - 3)
+        f = t - i
+        # cubic Lagrange on the 4 nodes around each target
+        w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
+        w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
+        w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
+        w3 = (f + 1.0) * f * (f - 1.0) / 6.0
+        out[lo:lo + _ROW_ENTRIES] = (w0 * table[i - 1] + w1 * table[i]
+                                     + w2 * table[i + 1] + w3 * table[i + 2])
+    return out
 
 
 def _jacquet_gl3(alpha, y1: float, y2: float, L: float, order: int,

@@ -139,6 +139,20 @@ class TestCosets:
                              axis=0)) == count
         assert not (vs * avs).sum(axis=1).any()
 
+    # SHA-256 prefixes of the dtype and bytes of (V, A, iv, ia, upto),
+    # recorded before the candidates were read by box index; the arrays
+    # are integers, so the pins hold on any machine
+    PAIR_PINS = {(12, 12): "3b4b03f106b96daf", (8, 13): "9a9b4af48d63be87",
+                 (13, 8): "acc539bb7c9bf688", (20, 20): "cda55f4acd680f40"}
+
+    @pytest.mark.parametrize("hv, ha", PAIR_PINS)
+    def test_coset_pairs_recorded_bytes(self, hv, ha):
+        digest = hashlib.sha256()
+        for arr in _coset_pairs_gl3(hv, ha):
+            digest.update(arr.dtype.str.encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest()[:16] == self.PAIR_PINS[hv, ha]
+
     def test_coset_pairs_in_height_order(self):
         # distinct rows; pairs in order of height max(|v|, |a|), with
         # upto[h] cosets of height <= h, so S(H // 2) sums a prefix

@@ -80,6 +80,15 @@ class TestZeta:
             expect = complex(mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s))
             assert zeta_completed(s) == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [-5 + 0.5j, -10 + 1j, -20 + 0.5j,
+                                   -3.41 - 4.44j])
+    def test_completed_left_of_critical_strip(self, s):
+        # the 50-term sum of zeta is off here (relative errors 8.4e-5,
+        # 2.2e3, 6.7e15 and 1.8e-8); zeta*(1 - s) lies where it converges
+        with mp.workdps(40):
+            expect = complex(mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s))
+        assert zeta_completed(s) == pytest.approx(expect, rel=1e-13)
+
 
 class TestBesselK:
     def test_half_integer_closed_form(self):

@@ -1,6 +1,7 @@
 """Completed Whittaker functions: closed forms, symmetry, unipotent oracle."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -159,6 +160,23 @@ class TestGL3Oracle:
         assert whittaker._jacquet_gl3(
             alpha, y1, y2, L=60.0, order=14, ratio=1.08) == pytest.approx(
                 fine, rel=1e-10, abs=0)
+
+    def test_oracle_peak_memory_and_bits(self, monkeypatch):
+        # at the benchmark's oracle point the K-Bessel interpolation held
+        # its index, fraction, four weights and four table gathers for all
+        # 0.8-1.5 M points of a pass at once, a traced peak of 223 MB; in
+        # chunks of _ROW_ENTRIES points it peaks at 149 MB.  One chunk is
+        # the whole-array arithmetic, so the value keeps its bits
+        alpha, y = (2.0, 0.0, -2.0), (1.0, 1.0)
+        tracemalloc.start()
+        try:
+            val = jacquet_oracle(alpha, y, tol=1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 170e6, peak
+        monkeypatch.setattr(whittaker, "_ROW_ENTRIES", 1 << 40)
+        assert jacquet_oracle(alpha, y, tol=1e-5) == val
 
 
 class TestGL3MellinCrossCheck:
