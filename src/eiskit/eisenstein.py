@@ -290,14 +290,13 @@ def _window_band() -> np.ndarray:
 
 
 def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """|p M|^2 for every row p of `rows` and grid matrix M: (rows, grid).
-
-    Accumulated one column of M at a time, in place, to bound temporaries.
-    """
+    """|p M|^2 for every row p of `rows` and grid matrix M: (rows, grid),
+    added one column of M at a time in place onto the first one's square."""
     p = rows.astype(float)
-    out = np.zeros((len(p), len(mats)))
+    out = np.matmul(p, mats[:, :, 0].T)
+    out *= out
     col = np.empty_like(out)
-    for j in range(mats.shape[2]):
+    for j in range(1, mats.shape[2]):
         np.matmul(p, mats[:, :, j].T, out=col)
         col *= col
         out += col
@@ -355,11 +354,11 @@ _SUM_BLOCK = 1 << 14
 
 def _pair_sums(p: np.ndarray, q: np.ndarray, iv: np.ndarray, ia: np.ndarray
                ) -> np.ndarray:
-    """Sum of P[iv] Q[ia] over the index pairs, per grid matrix."""
+    """Sum of P[iv] Q[ia] over the index pairs per grid matrix (`np.take`)."""
     total = np.zeros(p.shape[1], np.result_type(p, q))
     for lo in range(0, len(iv), _SUM_BLOCK):
-        total += (p[iv[lo:lo + _SUM_BLOCK]]
-                  * q[ia[lo:lo + _SUM_BLOCK]]).sum(axis=0)
+        total += (np.take(p, iv[lo:lo + _SUM_BLOCK], axis=0)
+                  * np.take(q, ia[lo:lo + _SUM_BLOCK], axis=0)).sum(axis=0)
     return total
 
 
@@ -425,19 +424,17 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
 
 # `_windowed_sums` slices the grid so that each slice's row tables hold at
 # most `_TABLE_BLOCK` (row, grid point) entries.  Its cap of 64 grid points
-# per slice bounds the two (`_SUM_BLOCK`, width) temporaries of `_pair_sums`
-# to 17 MB each of complex terms: at a small H the row tables alone would
-# allow slices of over 1000 points and temporaries of hundreds of MB
+# per slice bounds `_pair_sums`' two gathers and their product to 17 MB each
+# of complex terms: at a small H the row tables alone would allow slices of
+# over 1000 points and (`_SUM_BLOCK`, width) temporaries of hundreds of MB
 _TABLE_BLOCK = 1 << 20
 
 
 def _window_powers(rows: np.ndarray, mats: np.ndarray, e, shift: np.ndarray,
                    height: int) -> tuple[np.ndarray, np.ndarray]:
     """The row powers times F(|p M| / H) (`_row_powers`), 0 outside the
-    window, and whether each row is inside it at some grid matrix.
-
-    Its temporaries are freed on return, before `_pair_sums` allocates its
-    own.
+    window, and whether each row is inside it at some grid matrix.  Its
+    temporaries are freed on return, before `_pair_sums` allocates its own.
     """
     sq = _norm_sq(rows, mats)
     inside = sq < height * height
@@ -479,9 +476,8 @@ def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
     of the slice; every other term is 0 throughout the slice.
     """
     svals = np.linalg.svd(w_mats, compute_uv=False)
-    dets = np.abs(np.linalg.det(w_mats))
     cover_v = height / svals[:, 2].min()
-    cover_a = height * (svals[:, 0] / dets).max()
+    cover_a = height * (svals[:, 0] / np.abs(np.linalg.det(w_mats))).max()
     if not (math.isfinite(cover_v) and math.isfinite(cover_a)):
         raise ValueError("the window cover is beyond the float range: "
                          "g is too ill-conditioned")
@@ -495,8 +491,8 @@ def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
         (near_v, p), (near_a, q) = (
             _window_powers(rows, mats[grid], e, shift[grid], height)
             for rows, (mats, e, shift) in zip((v_rows, a_rows), factors))
-        near = near_v[iv] & near_a[ia]
-        series.append(_pair_sums(p, q, iv[near], ia[near]))
+        near = np.flatnonzero(np.take(near_v, iv) & np.take(near_a, ia))
+        series.append(_pair_sums(p, q, np.take(iv, near), np.take(ia, near)))
     return np.concatenate(series)
 
 

@@ -104,13 +104,13 @@ def _bernoulli(k: int) -> Fraction:
 @_in_float_range
 def zeta(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin summation: 50 terms and 20 Bernoulli
-    corrections, for |Im s| <= 150 only (ValueError beyond).
+    corrections, for |Im s| <= 150 only (ValueError beyond), and for
+    Re s < -1/2, where the sum fails, by reflection from zeta(1 - s).
 
     Against mpmath on that range, where |zeta(s)| > 0.1, the relative error
-    is at most 5e-14 for Re s >= 1, 4e-13 at Re s = 0 and 1/2, and 4e-12,
-    3e-10 and 1e-8 at Re s = -1, -2 and -3; at Re s = 2 it is already 6e-5
-    at |Im s| = 300.  The pole raises PoleError, and a sum that overflows
-    (at s = -200) ValueError.
+    is at most 5e-14 for Re s >= 1 and 4e-13 for Re s < 1 (0 at s = -2k); at
+    Re s = 2 it is already 6e-5 at |Im s| = 300.  The pole raises PoleError,
+    and an overflow ValueError, as Gamma(1 - s) does from about Re s = -140.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
@@ -118,10 +118,14 @@ def zeta(s: complex) -> complex:
     if abs(s.imag) > 150.0:
         raise ValueError(f"zeta at {s} is outside its checked range "
                          "|Im s| <= 150")
+    if s.real < -0.5:
+        # the sine is read at s/2 - k, k the nearest integer: 0 at s = -2k
+        k = round(0.5 * s.real)
+        return ((-1) ** k * 2.0 ** s * math.pi ** (s - 1.0) * _lanczos(1.0 - s)
+                * cmath.sin(math.pi * (0.5 * s - k)) * zeta(1.0 - s))
     n = 50
-    acc = sum(k ** (-s) for k in range(1, n))
-    acc += n ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * n ** (-s)
+    acc = (sum(k ** (-s) for k in range(1, n)) + n ** (1.0 - s) / (s - 1.0)
+           + 0.5 * n ** (-s))
     # correction terms: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * n^{-s-2k+1}
     rising = s
     for k in range(1, 21):
@@ -135,9 +139,9 @@ def zeta(s: complex) -> complex:
 def zeta_completed(s: complex) -> complex:
     """zeta*(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1.
 
-    For Re s < 0, where the sum of `zeta` fails, it is zeta*(1 - s).  An
-    overflow raises ValueError naming the function that overflows:
-    zeta_completed(400) is about 1e273, but gamma_complex(200) overflows."""
+    For Re s < 0 it is read as zeta*(1 - s).  An overflow raises ValueError
+    naming the function that overflows: zeta_completed(400) is about 1e273,
+    but gamma_complex(200) overflows."""
     s = complex(s)
     for pole in (0.0, 1.0):
         if abs(s - pole) < 1e-14:

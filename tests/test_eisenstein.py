@@ -24,13 +24,19 @@ from eiskit.eisenstein import (
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,
+    _SUM_BLOCK,
+    _TABLE_BLOCK,
     _coprime_pairs,
     _coset_pairs_gl3,
+    _pair_sums,
+    _powers,
+    _row_factors,
     _row_powers,
     _shell_sums,
     _unipotent_grid,
     _window_band,
     _window_weight,
+    _window_powers,
     _windowed_sums,
 )
 from eiskit.hecke import eis_hecke_eigenvalue
@@ -461,6 +467,95 @@ class TestGL2SumBits:
         finally:
             tracemalloc.stop()
         assert peak < 32e6, peak
+
+
+class TestGL3SumBits:
+    """The GL(3) pair sums, bit for bit, against the fancy-index gathers.
+
+    Each reference is built here from the block expression
+    (p[iv[lo:hi]] * q[ia[lo:hi]]).sum(axis=0), summed block by block over
+    `_SUM_BLOCK` pairs, and its row powers from |p M|^2 accumulated onto a
+    zero table, so the comparison holds on any machine.
+    """
+
+    RECORDED = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                           / "reference_values.json").read_text())["gl3_eval"]
+
+    @staticmethod
+    def _blocked(p, q, iv, ia):
+        total = np.zeros(p.shape[1], np.result_type(p, q))
+        for lo in range(0, len(iv), _SUM_BLOCK):
+            hi = lo + _SUM_BLOCK
+            total += (p[iv[lo:hi]] * q[ia[lo:hi]]).sum(axis=0)
+        return total
+
+    @staticmethod
+    def _norm_sq(rows, mats):
+        p = rows.astype(float)
+        out = np.zeros((len(p), len(mats)))
+        for j in range(mats.shape[2]):
+            col = p @ mats[:, :, j].T
+            col *= col
+            out += col
+        return out
+
+    @pytest.mark.parametrize("height", [12, 15])
+    @pytest.mark.parametrize("pool", ["real_diagonal", "complex_unipotent"])
+    def test_shell_sums(self, pool, height):
+        point = self.RECORDED[pool][0]
+        s = SpectralPoint(tuple(complex(*z) for z in point["s"]), _borel(3))
+        w = np.array(point["g"])[None]
+        v_rows, a_rows, iv, ia, upto = _coset_pairs_gl3(height, height)
+        p, q = (_powers(self._norm_sq(rows, mats), e, shift)
+                for rows, (mats, e, shift)
+                in zip((v_rows, a_rows), _row_factors(w, s)))
+        cut = upto[height // 2]
+        inner = self._blocked(p, q, iv[:cut], ia[:cut])
+        total = inner + self._blocked(p, q, iv[cut:], ia[cut:])
+        got_total, got_inner = _shell_sums(3, w, s, height)
+        assert np.array_equal(got_total, total)
+        assert np.array_equal(got_inner, inner)
+
+    def test_windowed_sums(self):
+        height = 6
+        w, _ = _unipotent_grid(3, 6, np.diag([1.2, 1.0, 1 / 1.2]), (1, 1))
+        s = SpectralPoint((2.4, 0.1, -2.5), _borel(3))
+        svals = np.linalg.svd(w, compute_uv=False)
+        cover_v = height / svals[:, 2].min()
+        cover_a = height * (svals[:, 0] / np.abs(np.linalg.det(w))).max()
+        v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(math.ceil(cover_v),
+                                                     math.ceil(cover_a))
+        factors = _row_factors(w, s)
+        step = max(1, min(64, _TABLE_BLOCK // (len(v_rows) + len(a_rows))))
+        assert step < len(w)  # more than one grid slice
+        series = []
+        for lo in range(0, len(w), step):
+            grid = slice(lo, lo + step)
+            (near_v, p), (near_a, q) = (
+                _window_powers(rows, mats[grid], e, shift[grid], height)
+                for rows, (mats, e, shift) in zip((v_rows, a_rows), factors))
+            near = near_v[iv] & near_a[ia]
+            series.append(self._blocked(p, q, iv[near], ia[near]))
+        assert np.array_equal(_windowed_sums(w, s, height),
+                              np.concatenate(series))
+
+    @pytest.mark.parametrize("pairs", [0, 1, _SUM_BLOCK, _SUM_BLOCK + 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pair_sums(self, dtype, pairs):
+        rng = np.random.default_rng(pairs)
+        p, q = (rng.normal(size=(rows, 1)).astype(dtype) for rows in (50, 70))
+        if dtype is complex:
+            p.imag, q.imag = rng.normal(size=p.shape), rng.normal(size=q.shape)
+        iv = rng.integers(0, len(p), pairs).astype(np.int32)
+        ia = rng.integers(0, len(q), pairs).astype(np.int32)
+        got = _pair_sums(p, q, iv, ia)
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, self._blocked(p, q, iv, ia))
+
+    def test_pair_index_out_of_range_raises(self):
+        p, q = np.ones((5, 1)), np.ones((7, 1))
+        with pytest.raises(IndexError):
+            _pair_sums(p, q, np.array([0, 5], np.int32), np.zeros(2, np.int32))
 
 
 class TestExtractionGL2:

@@ -42,7 +42,7 @@ class TestZeta:
 
     def test_overflow_raises_value_error(self):
         # 2 + 1e300i meets the range guard before its Bernoulli corrections
-        # overflow; at -300 the terms k^300 themselves overflow
+        # overflow; at -300 the reflection's Gamma(301) overflows
         with pytest.raises(ValueError, match="zeta at .* checked range"):
             zeta(2 + 1e300j)
         with pytest.raises(ValueError, match="zeta at .* overflows"):
@@ -88,6 +88,19 @@ class TestZeta:
         with mp.workdps(40):
             expect = complex(mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s))
         assert zeta_completed(s) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [-5 + 0.5j, -10 + 1j, -20 + 0.5j, -60 + 3j,
+                                   -3.41 - 4.44j])
+    def test_reflected_left_of_critical_strip(self, s):
+        # the 50-term sum alone is off here by 8.4e-5, 2.2e3, 6.7e15, 4.2e50
+        # and 1.8e-8 relative
+        with mp.workdps(40):
+            expect = complex(mp.zeta(s))
+        assert zeta(s) == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_trivial_zeros(self):
+        for k in (1, 2, 25, 50):
+            assert zeta(-2 * k) == 0
 
 
 class TestBesselK:
