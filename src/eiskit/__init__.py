@@ -28,7 +28,6 @@ from .core import (
 from .forms import FormSet, FormSpec, const_form, mock_maass_form
 from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (
-    ConvergenceError,
     FWRequest,
     check_functional_equation,
     closed_form_fourier_gl2,

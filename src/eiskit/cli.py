@@ -42,15 +42,11 @@ from .uniqueness import (BlockStructure, affine_map_from_json,
 __all__ = ["main", "dispatch"]
 
 
-class UsageError(ValueError):
-    """A command line the parser or an option's reader refuses."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError where argparse would print usage and exit 2."""
+    """Raises ValueError where argparse would print usage and exit 2."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _fmt(x) -> str:
@@ -95,13 +91,13 @@ def _parse_list(text: str, option: str, build=tuple, item=int):
     try:
         return build(tuple(item(v) for v in text.split(",")))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad {option} {text!r}: {exc}") from exc
+        raise ValueError(f"bad {option} {text!r}: {exc}") from exc
 
 
 def _read(path: str, what: str) -> str:
     """The text of the `what` file at `path`."""
     if not os.path.exists(path):
-        raise UsageError(f"{what} file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     with open(path) as fh:
         return fh.read()
 
@@ -124,7 +120,7 @@ def _parse_forms(text: str | None, partition: Partition) -> FormSet:
         return FormSet(tuple(const_form() for _ in partition.parts))
     specs = text.split(",")
     if len(specs) != partition.r:
-        raise UsageError(
+        raise ValueError(
             f"{len(specs)} form specs for a partition of length {partition.r}")
     out = []
     for piece, nj in zip(specs, partition.parts):
@@ -133,7 +129,7 @@ def _parse_forms(text: str | None, partition: Partition) -> FormSet:
             try:
                 seed = int(piece[5:])
             except ValueError as exc:
-                raise UsageError(f"bad mock seed in {piece!r}") from exc
+                raise ValueError(f"bad mock seed in {piece!r}") from exc
             out.append(const_form() if nj == 1 else mock_maass_form(nj, seed))
         elif piece in ("const", "1"):
             out.append(const_form())
@@ -151,13 +147,13 @@ def _parse_spectral(text: str, partition: Partition) -> SpectralPoint:
             return SpectralPoint.from_leading(partition, vals)
         return SpectralPoint(tuple(vals), partition)
     except ValueError as exc:
-        raise UsageError(f"bad --s {text!r}: {exc}") from exc
+        raise ValueError(f"bad --s {text!r}: {exc}") from exc
 
 
 def _parse_sigma(text: str, r: int) -> tuple[int, ...]:
     sigma = tuple(v - 1 for v in _parse_list(text, "--sigma"))
     if sorted(sigma) != list(range(r)):
-        raise UsageError(f"--sigma {text!r} is not a permutation of 1..{r}")
+        raise ValueError(f"--sigma {text!r} is not a permutation of 1..{r}")
     return sigma
 
 
@@ -166,9 +162,9 @@ def _parse_group_element(args, n: int) -> GroupElement:
         try:
             g = GroupElement(np.array(json.loads(args.g), dtype=float))
         except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad --g: {exc}") from exc
+            raise ValueError(f"bad --g: {exc}") from exc
         if g.n != n:
-            raise UsageError(f"bad --g: expected a {n} x {n} matrix")
+            raise ValueError(f"bad --g: expected a {n} x {n} matrix")
         return g
     return GroupElement.identity(n)
 

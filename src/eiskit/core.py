@@ -47,10 +47,6 @@ def check_sum_zero(values: Sequence[complex], what: str) -> None:
         raise ValueError(f"{what} sum to {total}, not 0")
 
 
-class SingularMatrixError(ValueError):
-    """Input matrix is singular (or numerically so)."""
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered composition n = n_1 + ... + n_r selecting a standard parabolic."""
@@ -157,7 +153,7 @@ class GroupElement:
         with np.errstate(over="ignore"):
             det = np.linalg.det(m)
         if abs(det) < 1e-300:
-            raise SingularMatrixError("matrix is singular")
+            raise ValueError("matrix is singular")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -274,7 +270,7 @@ def iwasawa(g: GroupElement) -> tuple[IwasawaCoords, np.ndarray, float]:
     d = t[n - 1, n - 1]
     diag = np.diag(t)
     if np.any(diag <= 0) or d <= 0:
-        raise SingularMatrixError("matrix is numerically singular")
+        raise ValueError("matrix is numerically singular")
     y = tuple(diag[n - 2 - i] / diag[n - 1 - i] for i in range(n - 1))
     x = t / diag[np.newaxis, :]
     return IwasawaCoords(x, y), k, float(d)

@@ -21,22 +21,17 @@ from .forms import (DEFAULT_TRUNCATION, FormSet, _primes_up_to,
                     adjoint_l_at_one, const_form)
 from .hecke import eis_hecke_eigenvalue
 from .specfun import _ROW_ENTRIES, bessel_k, zeta_completed
-from .whittaker import QuadratureError, whittaker_gl2, whittaker_gl3
+from .whittaker import whittaker_gl2, whittaker_gl3
 
 __all__ = [
     "FWRequest",
     "FEReport",
-    "ConvergenceError",
     "eval_eisenstein",
     "closed_form_fourier_gl2",
     "extract_fourier_coefficient",
     "fw_formula",
     "check_functional_equation",
 ]
-
-
-class ConvergenceError(ValueError):
-    """Spectral point outside the absolute-convergence regime."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def _check_series(n: int, s: SpectralPoint, height: int) -> None:
         if not cmath.isfinite(gap):
             raise ValueError("s_i - s_{i+1} is beyond the float range")
         if gap.real <= 1.0:
-            raise ConvergenceError(
+            raise ValueError(
                 "need Re(s_i - s_{i+1}) > 1 for absolute convergence")
 
 
@@ -576,7 +571,8 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     exp(-2 pi i sum m_i u_{i,i+1}) over the unipotent coordinates, with
     `quad_nodes` nodes per axis.  When `quad_nodes` is even, the embedded
     half-grid provides a convergence diagnostic; a relative disagreement
-    beyond 0.25 raises QuadratureError.  A grid of N nodes folds the mode
+    beyond 0.25 raises ValueError "node-doubling disagreement in coefficient
+    extraction (achieved estimate ...)".  A grid of N nodes folds the mode
     m - N onto m, a smaller mode when N < 2m, so `quad_nodes` below
     max(1, 2 max(M)) raises ValueError, as does a sum beyond the float range.
     """
@@ -618,9 +614,9 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
     if half is not None:
         disagreement = abs(value - half) / max(abs(value), 1e-300)
         if disagreement > 0.25:
-            raise QuadratureError(
-                "node-doubling disagreement in coefficient extraction",
-                disagreement)
+            raise ValueError(
+                "node-doubling disagreement in coefficient extraction "
+                f"(achieved estimate {disagreement:.3e})")
     return value
 
 

@@ -18,12 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Partition, SpectralPoint, check_sum_zero
-from .specfun import PoleError, gamma_complex, zeta, zeta_completed
+from .specfun import gamma_complex, zeta, zeta_completed
 
 __all__ = [
     "FormSpec",
     "FormSet",
-    "HeckeDataError",
     "const_form",
     "mock_maass_form",
     "hecke_extend",
@@ -37,10 +36,6 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 4000  # terms of every truncated Dirichlet series
 DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
-
-
-class HeckeDataError(ValueError):
-    """A form has no Hecke data at a prime that a sum needs."""
 
 
 @dataclass(frozen=True)
@@ -230,8 +225,7 @@ def _local_series(form: FormSpec, p: int, k: int) -> list[complex]:
         for b in form.satake[p]:
             q = [c - b * d for c, d in zip(q + [0j], [0j] + q)]
     elif p not in form.hecke or (form.degree > 2 and k > 1):
-        raise HeckeDataError(f"form {form.name!r} has no Hecke data at "
-                             f"prime {p}")
+        raise ValueError(f"form {form.name!r} has no Hecke data at prime {p}")
     else:
         q = [1.0, -form.hecke[p], 1.0][:3 if form.degree == 2 else 2]
     out = [1.0 + 0.0j]
@@ -313,7 +307,7 @@ def rankin_selberg_completed(fj: FormSpec, fl: FormSpec, s: complex
     s = complex(s)
     if fj.is_constant and fl.is_constant:
         if abs(s) < 1e-9 or abs(s - 1.0) < 1e-9:
-            raise PoleError(s, "zeta*")
+            raise ValueError(f"zeta* has a pole at {s}")
         return zeta_completed(s)
     if fj.is_constant:
         return lfunction_completed(fl, s)
@@ -347,7 +341,8 @@ def completion_factor(forms: FormSet, s: SpectralPoint) -> complex:
                 (forms.forms[j].is_constant and forms.forms[l].is_constant)
                 or forms.forms[j] == forms.forms[l]
             ):
-                raise PoleError(arg, f"L*(s, phi_{j} x phi_{l})")
+                raise ValueError(f"L*(s, phi_{j} x phi_{l}) has a pole at "
+                                 f"{arg}")
             value *= rankin_selberg_completed(forms.forms[j], forms.forms[l],
                                               arg)
     return value
@@ -398,18 +393,6 @@ def _json_pairs(v, make, what: str) -> tuple:
     raise ValueError(f"{what} must be [x, y] pairs for {make.__name__}(x, y)")
 
 
-def _json_hecke(hecke: dict) -> dict[int, complex]:
-    """The hecke object's [x, y] values read in one pass; a malformed value
-    is looked up again so that the error names its prime."""
-    try:
-        values = _json_pairs(list(hecke.values()), complex, "form spec: hecke")
-    except ValueError:
-        for p, v in hecke.items():
-            _json_pairs([v], complex, f"form spec: hecke {p}")
-        raise
-    return dict(zip(map(int, hecke), values))
-
-
 def form_from_json(text: str) -> FormSpec:
     """Parse the form-spec format; ValueError names a malformed field."""
     doc = json.loads(text)
@@ -424,7 +407,8 @@ def form_from_json(text: str) -> FormSpec:
         degree=doc.get("degree"),
         parity=doc.get("parity", 0),
         alpha=_json_pairs(doc.get("alpha"), complex, "form spec: alpha"),
-        hecke=_json_hecke(hecke),
+        hecke={int(p): _json_pairs([v], complex, f"form spec: hecke {p}")[0]
+               for p, v in hecke.items()},
         satake={int(p): _json_pairs(beta, complex, f"form spec: satake {p}")
                 for p, beta in satake.items()},
     )

@@ -16,26 +16,12 @@ import numpy as np
 from .specfun import _ROW_ENTRIES, bessel_k, bessel_k_batch, gamma_complex
 
 __all__ = [
-    "DomainError",
-    "QuadratureError",
     "WHITTAKER_GL2_CONSTANT",
     "WHITTAKER_GL3_CONSTANT",
     "whittaker_gl2",
     "whittaker_gl3",
     "jacquet_oracle",
 ]
-
-
-class DomainError(ValueError):
-    """Parameters outside the region where the requested evaluation is defined."""
-
-
-class QuadratureError(ValueError):
-    """Quadrature missed its tolerance at the arguments it was given."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved estimate {achieved:.3e})")
-        self.achieved = achieved
 
 
 # Normalization constants tying the K-Bessel evaluators to the unipotent
@@ -58,7 +44,7 @@ WHITTAKER_GL3_CONSTANT = 8.0
 def whittaker_gl2(nu: complex, y: float) -> complex:
     """Completed GL(2) Whittaker value: 2 sqrt(y) K_nu(2 pi y)."""
     if y <= 0:
-        raise DomainError(f"need y > 0, got {y}")
+        raise ValueError(f"need y > 0, got {y}")
     return WHITTAKER_GL2_CONSTANT * math.sqrt(y) * bessel_k(nu, 2.0 * math.pi * y)
 
 
@@ -85,9 +71,9 @@ def whittaker_gl3(alpha, y1: float, y2: float) -> complex:
     """
     a1, a2, a3 = (complex(v) for v in alpha)
     if abs(a1 + a2 + a3) > 1e-9:
-        raise DomainError("alpha must sum to zero")
+        raise ValueError("alpha must sum to zero")
     if y1 <= 0 or y2 <= 0:
-        raise DomainError("y coordinates must be positive")
+        raise ValueError("y coordinates must be positive")
     nu = 0.5 * (a1 - a3)
     # substitution x = e^t: double-exponential decay at both ends, so the
     # trapezoid rule converges geometrically under step halving.  The
@@ -114,7 +100,8 @@ def whittaker_gl3(alpha, y1: float, y2: float) -> complex:
         prev = val
         h *= 0.5
     else:
-        raise QuadratureError("whittaker_gl3 step halving stalled", diff)
+        raise ValueError("whittaker_gl3 step halving stalled "
+                         f"(achieved estimate {diff:.3e})")
     scale = (WHITTAKER_GL3_CONSTANT * y1 * y2
              * cmath.exp(0.5 * a2 * (math.log(y1) - math.log(y2))))
     return scale * val
@@ -267,19 +254,20 @@ def jacquet_oracle(alpha, y, tol: float = 1e-6) -> complex:
     times the integral over the unipotent group against the standard
     character, with the long Weyl element.  Requires the convergence cone
     Re(alpha_i - alpha_{i+1}) > 0; two refinement passes supply an error
-    estimate, and a miss of `tol` raises QuadratureError.
+    estimate, and a miss of `tol` raises ValueError "jacquet_oracle
+    refinement disagreement (achieved estimate ...)".
     """
     alpha = tuple(complex(v) for v in alpha)
     n = len(alpha)
     if n not in (2, 3):
-        raise DomainError(f"supported ranks are 2 and 3, got n={n}")
+        raise ValueError(f"supported ranks are 2 and 3, got n={n}")
     for i in range(n - 1):
         if (alpha[i] - alpha[i + 1]).real <= 0:
-            raise DomainError(
+            raise ValueError(
                 f"outside convergence cone: Re(alpha_{i+1}-alpha_{i+2}) <= 0")
     ys = [float(v) for v in (y if hasattr(y, "__len__") else [y])]
     if len(ys) != n - 1 or any(v <= 0 for v in ys):
-        raise DomainError("need n-1 positive y coordinates")
+        raise ValueError("need n-1 positive y coordinates")
     if n == 2:
         coarse = _jacquet_gl2(alpha, ys[0], L=150.0, order=10)
         fine = _jacquet_gl2(alpha, ys[0], L=220.0, order=12)
@@ -288,5 +276,6 @@ def jacquet_oracle(alpha, y, tol: float = 1e-6) -> complex:
         fine = _jacquet_gl3(alpha, ys[0], ys[1], L=60.0, order=14, ratio=1.08)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
     if achieved > tol:
-        raise QuadratureError("jacquet_oracle refinement disagreement", achieved)
+        raise ValueError("jacquet_oracle refinement disagreement "
+                         f"(achieved estimate {achieved:.3e})")
     return fine

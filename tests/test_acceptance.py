@@ -27,7 +27,7 @@ from eiskit.core import (
 from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.hecke import eis_hecke_eigenvalue
 from eiskit.specfun import bessel_k, zeta_completed
-from eiskit.whittaker import QuadratureError, jacquet_oracle, whittaker_gl3
+from eiskit.whittaker import jacquet_oracle, whittaker_gl3
 from eiskit.eisenstein import (
     FWRequest,
     check_functional_equation,
@@ -194,7 +194,10 @@ def test_09_gl3_whittaker_invariance_and_oracle():
         y2 = rng.uniform(0.7, 1.3)
         try:
             oracle = jacquet_oracle(alpha, (y1, y2), tol=1e-5)
-        except QuadratureError:
+        except ValueError as exc:
+            if not str(exc).startswith(
+                    "jacquet_oracle refinement disagreement"):
+                raise
             continue  # the oracle declined to certify this point
         fast = whittaker_gl3(alpha, y1, y2)
         assert abs(fast - oracle) <= 1e-5 * max(abs(oracle), 1e-30), (
@@ -219,7 +222,7 @@ def test_10_gl3_numeric_coefficient_vs_factored_formula(s_values):
     forms = FormSet((const_form(),) * 3)
     g = GroupElement.identity(3)
     req = FWRequest(partition=p, forms=forms, M=(1, 1), s=s, g=g)
-    got = extract_fourier_coefficient(3, req, height=15, quad_nodes=12)
+    got = extract_fourier_coefficient(3, req, height=15, quad_nodes=6)
     want = fw_formula(req) / completion_factor(forms, s)
     assert abs(got - want) <= 5e-2 * abs(want), (got, want)
     assert time.time() - t0 < 900.0

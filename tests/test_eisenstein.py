@@ -17,7 +17,6 @@ from eiskit.core import (GroupElement, Partition, SpectralPoint,
                          langlands_parameter, power_function, rho_borel)
 from eiskit.forms import FormSet, completion_factor, const_form, mock_maass_form
 from eiskit.eisenstein import (
-    ConvergenceError,
     FWRequest,
     check_functional_equation,
     closed_form_fourier_gl2,
@@ -279,7 +278,8 @@ class TestEval:
         assert abs(v1 - v2) <= 2 * (t1 + t2)
 
     def test_divergent_point_rejected(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ValueError, match=r"^need Re\(s_i - s_\{i\+1\}\) "
+                                             "> 1 for absolute convergence$"):
             eval_eisenstein(2, GroupElement.identity(2),
                             SpectralPoint((0.3, -0.3), _borel(2)), 10)
 

@@ -1,6 +1,7 @@
 """Completed Whittaker functions: closed forms, symmetry, unipotent oracle."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -10,8 +11,6 @@ import pytest
 from eiskit import whittaker
 from eiskit.specfun import gamma_complex
 from eiskit.whittaker import (
-    DomainError,
-    QuadratureError,
     jacquet_oracle,
     whittaker_gl2,
     whittaker_gl3,
@@ -45,7 +44,7 @@ class TestGL2:
             assert whittaker_gl2(nu, y) == pytest.approx(oracle, rel=1e-6)
 
     def test_rejects_bad_y(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^need y > 0, got -1\.0$"):
             whittaker_gl2(1.0, -1.0)
 
 
@@ -69,7 +68,7 @@ class TestGL3Symmetry:
         assert abs(val.imag) <= 1e-10 * abs(val)
 
     def test_rejects_nonzero_sum(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="^alpha must sum to zero$"):
             whittaker_gl3((1.0, 1.0, 1.0), 1.0, 1.0)
 
 
@@ -99,7 +98,6 @@ class TestGL3Oracle:
         # 10 points with Re(a1) > Re(a2) > Re(a3); the oracle certifies its
         # own quadrature error and declines points it cannot settle at the
         # tolerance, so sample until 10 certified points are collected
-        from eiskit.whittaker import QuadratureError
         rng = np.random.default_rng(23)
         checked = 0
         attempts = 0
@@ -116,7 +114,10 @@ class TestGL3Oracle:
             y = tuple(rng.uniform(0.7, 1.3, size=2))
             try:
                 oracle = jacquet_oracle(alpha, y, tol=1e-5)
-            except QuadratureError:
+            except ValueError as exc:
+                if not str(exc).startswith(
+                        "jacquet_oracle refinement disagreement"):
+                    raise
                 continue
             fast = whittaker_gl3(alpha, y[0], y[1])
             assert abs(fast - oracle) <= 1e-5 * abs(oracle), (alpha, y)
@@ -124,7 +125,8 @@ class TestGL3Oracle:
         assert checked == 10
 
     def test_oracle_rejects_outside_cone(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^outside convergence cone: "
+                                             r"Re\(alpha_1-alpha_2\) <= 0$"):
             jacquet_oracle((0.0, 1.0, -1.0), (1.0, 1.0))
 
     # recorded coarse and fine passes of the unipotent integral at the
@@ -261,7 +263,9 @@ class TestGL3DeepCusp:
         # difference never reaches tol, and the error must carry it
         monkeypatch.setattr(whittaker, "_vt_integrand",
                             lambda nu, a2, y1, y2, t: np.ones(t.shape))
-        with pytest.raises(QuadratureError) as info:
+        with pytest.raises(ValueError) as info:
             whittaker_gl3((0.3, 0.1, -0.4), 1.0, 1.0)
-        assert 0.0 < info.value.achieved < 1.0 / 128
-        assert f"{info.value.achieved:.3e}" in str(info.value)
+        found = re.fullmatch(r"whittaker_gl3 step halving stalled "
+                             r"\(achieved estimate (\d\.\d{3}e[+-]\d\d)\)",
+                             str(info.value))
+        assert found and 0.0 < float(found[1]) < 1.0 / 128
