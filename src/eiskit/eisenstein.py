@@ -82,24 +82,37 @@ class FEReport:
 # ------------------------------- cosets --------------------------------------
 
 
-def _coprime_pairs(height: int):
+def _coprime_pairs(height: int, step: int):
     """Bottom rows (c, d) of the GL(2) coset representatives up to `height`.
 
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
-    every c > 0.  Yields (rows, 2) int64 arrays in c-chunks of width 200,
-    each in (c, d) order, read from one (height+1)^2 coprimality mask.
+    every c > 0, in (c, d) order.  Yields one iterable per block: (0, 1),
+    then the c-blocks of width 200.  Each gives the block's rows in turn as
+    (rows, 2) int64 chunks of `step` rows (the last one shorter), read from
+    the block's own 200 x (2 height + 1) coprimality mask.
     """
-    yield np.array([[0, 1]], np.int64)
-    # coprime[c, |d|]: each prime p strikes the rows c = p, 2p, ... at the
-    # columns |d| = 0, p, 2p, ... (gcd(c, 0) = c)
-    coprime = np.ones((height + 1, height + 1), bool)
-    for p in _primes_up_to(height):
-        coprime[p::p, ::p] = False
-    d_all = np.arange(-height, height + 1, dtype=np.int64)
-    d_abs = np.abs(d_all)
+    yield [np.array([[0, 1]], np.int64)]
     for lo in range(1, height + 1, 200):
-        c, d = np.nonzero(coprime[lo:lo + 200, d_abs])
-        yield np.stack((c + lo, d_all[d]), axis=1)
+        yield _coprime_block(lo, min(lo + 200, height + 1), height, step)
+
+
+def _coprime_block(lo: int, hi: int, height: int, step: int):
+    """The coprime rows (c, d) with lo <= c < hi and |d| <= `height`, in
+    chunks of `step` rows (`_coprime_pairs`)."""
+    # coprime[c - lo, d + height]: each prime p strikes the rows c = 0 mod p
+    # at the columns d = 0 mod p (gcd(c, 0) = c)
+    coprime = np.ones((hi - lo, 2 * height + 1), bool)
+    for p in _primes_up_to(hi - 1):
+        coprime[-lo % p::p, height % p::p] = False
+    # ends[i]: the block's rows up to and including c = lo + i
+    ends = np.cumsum(np.count_nonzero(coprime, axis=1))
+    for r in range(0, ends[-1], step):
+        # the c whose rows meet the block rows r, ..., r + step - 1
+        i, j = np.searchsorted(ends, (r, r + step - 1), side="right")
+        c, d = np.nonzero(coprime[i:j + 1])
+        off = r - (ends[i - 1] if i else 0)
+        yield np.stack((c[off:off + step] + (lo + i),
+                        d[off:off + step] - height), axis=1)
 
 
 # ----------------------------- series evaluation -----------------------------
@@ -284,13 +297,17 @@ def _window_band() -> np.ndarray:
     return band
 
 
-def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _norm_sq(rows: np.ndarray, mats: np.ndarray, out: np.ndarray | None = None,
+             col: np.ndarray | None = None) -> np.ndarray:
     """|p M|^2 for every row p of `rows` and grid matrix M: (rows, grid),
-    added one column of M at a time in place onto the first one's square."""
+    added one column of M at a time in place onto the first one's square.
+    The sums go into `out` and the later columns' squares into `col`, two
+    (rows, grid) float tables, when given."""
     p = rows.astype(float)
-    out = np.matmul(p, mats[:, :, 0].T)
+    out = np.matmul(p, mats[:, :, 0].T, out=out)
     out *= out
-    col = np.empty_like(out)
+    if col is None:
+        col = np.empty_like(out)
     for j in range(1, mats.shape[2]):
         np.matmul(p, mats[:, :, j].T, out=col)
         col *= col
@@ -298,10 +315,12 @@ def _norm_sq(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(sq: np.ndarray, e, shift) -> np.ndarray:
-    """exp(e log(sq) + shift), in place on `sq` when `e` is real."""
+def _powers(sq: np.ndarray, e, shift, out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """exp(e log(sq) + shift), in place on `sq` when `e` is real, else in
+    `out`, a complex table like `sq`, when given."""
     logp = np.log(sq, out=sq)
-    logp = np.multiply(logp, e, out=logp if isinstance(e, float) else None)
+    logp = np.multiply(logp, e, out=logp if isinstance(e, float) else out)
     logp += shift
     return np.exp(logp, out=logp)
 
@@ -381,15 +400,18 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     depend on the summation order, and that order is fixed: each c-block of
     `_coprime_pairs` is summed on its own and added to the running total.
     Inside a block, numpy's sum(axis=0) of a (rows, width >= 2) table adds
-    the rows one after another, in enumeration order.  The block is taken in
+    the rows one after another, in enumeration order.  The block streams in
     chunks of at most `_ROW_ENTRIES` = 2^16 (row, grid point) entries (1024
-    rows at 64 grid points, 0.5 MB per real table), and each chunk's
-    table carries the block's running sum as its first row, so the chunked
-    sum adds the same numbers in the same order as one whole-block table.
-    The inner sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is
-    carried the same way.  A single grid matrix (width 1) is summed
-    pairwise, which chunks would reorder, so its blocks stay whole; their
-    table is one column.
+    rows at 64 grid points, 0.5 MB per real table), and each chunk's table
+    carries the block's running sum as its first row, so the chunked sum
+    adds the same numbers in the same order as one whole-block table.  The
+    inner sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is
+    carried the same way.  Every chunk's |vW|^2, log, power and exp go into
+    the same two float tables (and one complex table for complex s),
+    allocated once per call: with fresh tables per chunk the allocator
+    hands their pages back to the system and faults them in again.  A
+    single grid matrix (width 1) is summed pairwise, which chunks would
+    reorder, so its blocks stay whole; their table is one column.
     """
     half = height // 2
     if n == 3:
@@ -400,20 +422,25 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
     (mats, e, shift), = _row_factors(w_mats, s)
     width = len(w_mats)
+    # a c-block has at most 200 (2H + 1) rows
+    step = (max(1, _ROW_ENTRIES // width) if width > 1
+            else 200 * (2 * height + 1))
+    sq, col = np.empty((2, step, width))
+    z = None if isinstance(e, float) else np.empty((step, width), complex)
     total = inner = 0.0
-    for v in _coprime_pairs(height):
-        step = max(1, _ROW_ENTRIES // width) if width > 1 else len(v)
-        # elementwise: a max along the short row axis is several times slower
-        heights = np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1]))
-        block = block_inner = None
-        for lo in range(0, len(v), step):
-            terms = _powers(_norm_sq(v[lo:lo + step], mats), e, shift)
-            # a copy, taken before the total's carry changes terms[0]
-            terms_inner = terms[heights[lo:lo + step] <= half]
-            block = _carry_sum(block, terms)
-            block_inner = _carry_sum(block_inner, terms_inner)
-        total = total + block
-        inner = inner + block_inner
+    for block in _coprime_pairs(height, step):
+        acc = acc_inner = None
+        for v in block:
+            k = len(v)
+            terms = _powers(_norm_sq(v, mats, sq[:k], col[:k]), e, shift,
+                            None if z is None else z[:k])
+            # elementwise: a max along the short row axis is several times
+            # slower; the copy is taken before the carry changes terms[0]
+            terms_inner = terms[np.maximum(v[:, 0], np.abs(v[:, 1])) <= half]
+            acc = _carry_sum(acc, terms)
+            acc_inner = _carry_sum(acc_inner, terms_inner)
+        total = total + acc
+        inner = inner + acc_inner
     return total, inner
 
 

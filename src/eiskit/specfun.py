@@ -74,15 +74,20 @@ def _lanczos(z: complex) -> complex:
 @_in_float_range
 def gamma_complex(z: complex) -> complex:
     """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2;
-    a pole raises ValueError "Gamma has a pole at ...", an overflow
-    ValueError "gamma_complex at ... overflows the float range"."""
+    a pole raises ValueError "Gamma has a pole at ...", an overflow (also of
+    pi z in the reflection) ValueError "gamma_complex at ... overflows the
+    float range"."""
     z = complex(z)
     if (abs(z.imag) < 1e-14 and z.real <= 0.5
             and abs(z.real - round(z.real)) < 1e-14):
         raise ValueError(f"Gamma has a pole at {complex(round(z.real))}")
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
+        pz = math.pi * z
+        if math.isinf(pz.real):
+            # cmath.sin raises a bare "math domain error" there
+            raise OverflowError(f"pi z is infinite at z = {z}")
+        return math.pi / (cmath.sin(pz) * _lanczos(1.0 - z))
     return _lanczos(z)
 
 
@@ -106,10 +111,11 @@ def zeta(s: complex) -> complex:
     Re s < -1/2, where the sum fails, by reflection from zeta(1 - s).
 
     Against mpmath on that range, where |zeta(s)| > 0.1, the relative error
-    is at most 5e-14 for Re s >= 1 and 4e-13 for Re s < 1 (0 at s = -2k); at
-    Re s = 2 it is already 6e-5 at |Im s| = 300.  The pole raises ValueError
-    "zeta has a pole at 1.0", and an overflow ValueError "zeta at ...
-    overflows the float range", as Gamma(1 - s) does from Re s = -170.6.
+    is at most 5e-14 for Re s >= 1 and 4e-13 for Re s < 1; at Re s = 2 it
+    is already 6e-5 at |Im s| = 300.  zeta(-2k) is exactly 0 for every
+    k >= 1.  The pole raises ValueError "zeta has a pole at 1.0", and an
+    overflow ValueError "zeta at ... overflows the float range", as
+    Gamma(1 - s) does from Re s = -170.6 off the trivial zeros.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
@@ -118,8 +124,11 @@ def zeta(s: complex) -> complex:
         raise ValueError(f"zeta at {s} is outside its checked range "
                          "|Im s| <= 150")
     if s.real < -0.5:
-        # the sine is read at s/2 - k, k the nearest integer: 0 at s = -2k
+        # the sine is read at s/2 - k, k the nearest integer: 0 at s = -2k,
+        # returned before Gamma(1 - s) can overflow
         k = round(0.5 * s.real)
+        if s == 2 * k:
+            return 0j
         return ((-1) ** k * 2.0 ** s * math.pi ** (s - 1.0) * _lanczos(1.0 - s)
                 * cmath.sin(math.pi * (0.5 * s - k)) * zeta(1.0 - s))
     n = 50

@@ -540,6 +540,10 @@ class TestUsageErrors:
         "form-gamma-infinite-phase": (
             CHECK_FE_21, _mock_with_alpha([[0, 1e308], [0, -1e308]]),
             "gamma_complex at (0.5+1e+308j) overflows"),
+        # alpha = (-1e308 + i, 1e308 - i): pi z in the reflection is -inf
+        "form-gamma-reflection-overflows": (
+            CHECK_FE_21, _mock_with_alpha([[-1e308, 1], [1e308, -1]]),
+            "gamma_complex at (-1e+308+1j) overflows"),
         "map-bare-entries": (MAP1, '{"A": [[1]], "b": [0]}', "A"),
         "map-not-an-object": (MAP1, '[1, 2]', "map"),
         "map-zero-denominator": (MAP1, '{"A": [[[1, 0]]], "b": [[0, 1]]}',

@@ -52,6 +52,19 @@ def _trivial_forms(n):
     return FormSet((const_form(),) * n)
 
 
+def _gcd_blocks(height):
+    """The GL(2) rows (0, 1), then the coprime (c, d) of each 200-wide
+    c-block in (c, d) order, by np.gcd over the block's (c, d) grid."""
+    d_all = np.arange(-height, height + 1, dtype=np.int64)
+    blocks = [np.array([[0, 1]], np.int64)]
+    for lo in range(1, height + 1, 200):
+        cs = np.arange(lo, min(lo + 200, height + 1), dtype=np.int64)
+        cg, dg = np.meshgrid(cs, d_all, indexing="ij")
+        keep = np.gcd(cg, np.abs(dg)) == 1
+        blocks.append(np.stack((cg[keep], dg[keep]), axis=1))
+    return blocks
+
+
 def _coset_rows(hv, ha):
     """The Plucker rows (v, a) of each coset, gathered from the index pairs."""
     v_rows, a_rows, iv, ia, _ = _coset_pairs_gl3(hv, ha)
@@ -62,7 +75,7 @@ def _coset_rows(hv, ha):
 class TestCosets:
     def test_gl2_canonical_unique(self):
         seen = set()
-        for rows in _coprime_pairs(12):
+        for rows in itertools.chain.from_iterable(_coprime_pairs(12, 7)):
             for c, d in rows.tolist():
                 # a unimodular lift: a d - b c = 1
                 a = pow(d, -1, c) if c else 1
@@ -80,19 +93,17 @@ class TestCosets:
     @pytest.mark.parametrize("height", [1, 7, 199, 200, 201, 500])
     def test_gl2_blocks_match_gcd_enumeration(self, height):
         # the sieve's blocks against np.gcd over each c-block's (c, d) grid:
-        # the same rows in the same order keep the GL(2) sums' bits
-        d_all = np.arange(-height, height + 1, dtype=np.int64)
-        want = [np.array([[0, 1]], np.int64)]
-        for lo in range(1, height + 1, 200):
-            cs = np.arange(lo, min(lo + 200, height + 1), dtype=np.int64)
-            cg, dg = np.meshgrid(cs, d_all, indexing="ij")
-            keep = np.gcd(cg, np.abs(dg)) == 1
-            want.append(np.stack((cg[keep], dg[keep]), axis=1))
-        got = list(_coprime_pairs(height))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == np.int64
-            assert np.array_equal(g, w)
+        # the same rows in the same order keep the GL(2) sums' bits.  Each
+        # block comes in chunks of `step` rows, the last one shorter
+        want = _gcd_blocks(height)
+        for step in (1, 7, 1024, 200 * (2 * height + 1)):
+            got = [list(block) for block in _coprime_pairs(height, step)]
+            assert len(got) == len(want)
+            for chunks, w in zip(got, want):
+                assert [len(v) for v in chunks] == [
+                    len(w[lo:lo + step]) for lo in range(0, len(w), step)]
+                assert all(v.dtype == np.int64 for v in chunks)
+                assert np.array_equal(np.concatenate(chunks), w)
 
     def test_gl3_complete_against_brute_force(self):
         # every unimodular matrix with bottom row and minor vector within the
@@ -397,20 +408,23 @@ class TestGL2RecordedValues:
 class TestGL2SumBits:
     """The GL(2) shell sums S(H) and S(H // 2), bit for bit.
 
-    `_shell_sums` takes each 200-wide c-block of `_coprime_pairs` in row
+    `_shell_sums` streams each 200-wide c-block of `_coprime_pairs` in row
     chunks of `_ROW_ENTRIES` (row, grid point) entries.  The pins were
-    recorded from whole-block tables, before the chunking: each is a
-    SHA-256 prefix of the bytes of both sums and the float.hex of the real
-    part of their first entries.  The bits also depend on numpy's exp and
-    log, which differ between its SIMD paths; the whole-block comparison
-    checks the summation order on any machine.
+    recorded from whole-block tables, before the chunking, and the last one
+    from chunked blocks read from one full coprimality mask, before the
+    streaming: each is a SHA-256 prefix of the bytes of both sums and the
+    float.hex of the real part of their first entries.  The bits also
+    depend on numpy's exp and log, which differ between its SIMD paths; the
+    whole-block comparison checks the summation order on any machine.
     """
 
     G = [[1.3, 0.4], [0.2, 0.9]]
     # (nodes, H, s1, g): (digest, hex of S(H)[0], hex of S(H // 2)[0]).
     # after the (0, 1) block, 64 nodes at H = 500 take 300 chunks in 3
     # c-blocks and 7 nodes at H = 450 take 28; a single grid matrix (the
-    # eval path) keeps each block whole, 2 blocks at H = 100 and 4 at 600
+    # eval path) keeps each block whole, 2 blocks at H = 100 and 4 at 600.
+    # At 96 nodes a chunk holds 682 rows, and the 801 rows of c = 1 at
+    # H = 400 span two chunks
     PINS = {
         (64, 500, 2.0, None): ("9f649194b5889117", "0x1.2a2e2b5956d7dp+1",
                                "0x1.2a2e2b1793b03p+1"),
@@ -421,6 +435,9 @@ class TestGL2SumBits:
                                 "0x1.753bd58c0fb32p+1"),
         (1, 600, 1.5, "diag"): ("0ac9ef4d2ae8b1e7", "0x1.75461113c9e85p+1",
                                 "0x1.7545d92d0dfa1p+1"),
+        (96, 400, 1.2 + 0.3j, "G"): ("671a85ae1e959532",
+                                     "0x1.915f23d6d8cdbp+1",
+                                     "0x1.916d5ba79afcap+1"),
     }
 
     def _grid(self, nodes, g):
@@ -445,7 +462,7 @@ class TestGL2SumBits:
         w = self._grid(nodes, g)
         s = SpectralPoint((s1, -s1), _borel(2))
         total = inner = 0.0
-        for v in _coprime_pairs(height):
+        for v in _gcd_blocks(height):
             terms, = _row_powers(w, s, v)
             total = total + terms.sum(axis=0)
             inner = inner + terms[np.abs(v).max(axis=1) <= height // 2].sum(
@@ -455,18 +472,22 @@ class TestGL2SumBits:
         assert np.array_equal(got_inner, inner)
 
     def test_extraction_peak_memory(self):
-        # the README extraction: whole c-blocks held three (rows x 64)
-        # tables of ~61 MB each, a traced peak near 190 MB
+        # the README extraction, and a taller one: whole c-blocks held
+        # (rows x 64) tables of ~61 MB each, a traced peak near 190 MB;
+        # chunked blocks read from one (H + 1)^2 mask peaked at 9.2 and
+        # 29 MB; streamed rows through reused tables peak near 2 MB
         req = FWRequest(_borel(2), _trivial_forms(2), (1,),
                         SpectralPoint((1.5, -1.5), _borel(2)),
                         GroupElement.identity(2))
-        tracemalloc.start()
-        try:
-            extract_fourier_coefficient(2, req, height=500, quad_nodes=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6, peak
+        for height, nodes in [(500, 64), (1500, 8)]:
+            tracemalloc.start()
+            try:
+                extract_fourier_coefficient(2, req, height=height,
+                                            quad_nodes=nodes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3e6, (height, nodes, peak)
 
 
 class TestGL3SumBits:

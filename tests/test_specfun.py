@@ -35,6 +35,11 @@ class TestGamma:
     def test_overflow_raises_value_error(self):
         with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
             gamma_complex(200.5)
+        # pi z in the reflection is -inf, where cmath.sin raises a bare
+        # "math domain error"
+        with pytest.raises(ValueError, match=r"^gamma_complex at "
+                           r"\(-1e\+308\+0\.5j\) overflows the float range$"):
+            gamma_complex(-1e308 + 0.5j)
 
 
 class TestZeta:
@@ -45,12 +50,13 @@ class TestZeta:
 
     def test_overflow_raises_value_error(self):
         # 2 + 1e300i meets the range guard before its Bernoulli corrections
-        # overflow; at -300 the reflection's Gamma(301) overflows, as
-        # Gamma(1 - s) does from Re s = -170.6
+        # overflow; at -301 (zeta = -1.6e376) the reflection's Gamma(302)
+        # overflows, as Gamma(1 - s) does from Re s = -170.6 off the
+        # trivial zeros
         with pytest.raises(ValueError, match="zeta at .* checked range"):
             zeta(2 + 1e300j)
         with pytest.raises(ValueError, match="zeta at .* overflows"):
-            zeta(-300)
+            zeta(-301)
         # zeta*(400) is about 1e273, but its factor Gamma(200) overflows
         with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
             zeta_completed(400)
@@ -104,7 +110,8 @@ class TestZeta:
         assert zeta(s) == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_trivial_zeros(self):
-        for k in (1, 2, 25, 50):
+        # exact, also where the reflection's Gamma(1 + 2k) would overflow
+        for k in (1, 2, 25, 50, 150, 500):
             assert zeta(-2 * k) == 0
 
 
