@@ -9,6 +9,7 @@ on an actual matrix.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -197,8 +198,9 @@ def _diag_from_y(y: Sequence[float]) -> list[float]:
     return [float(np.prod(y[: len(y) - i])) for i in range(len(y) + 1)]
 
 
+@functools.lru_cache(maxsize=16)
 def rho_borel(n: int) -> tuple[Fraction, ...]:
-    """((n-1)/2, (n-3)/2, ..., (1-n)/2) as exact rationals."""
+    """((n-1)/2, (n-3)/2, ..., (1-n)/2) as exact rationals; cached."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))

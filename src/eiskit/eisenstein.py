@@ -88,10 +88,10 @@ def _coprime_pairs(height: int, step: int):
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
     every c > 0, in (c, d) order.  Yields one iterable per block: (0, 1),
     then the c-blocks of width 200.  Each gives the block's rows in turn as
-    (rows, 2) int64 chunks of `step` rows (the last one shorter), read from
+    (rows, 2) float chunks of `step` rows (the last one shorter), read from
     the block's own 200 x (2 height + 1) coprimality mask.
     """
-    yield [np.array([[0, 1]], np.int64)]
+    yield [np.array([[0.0, 1.0]])]
     for lo in range(1, height + 1, 200):
         yield _coprime_block(lo, min(lo + 200, height + 1), height, step)
 
@@ -112,7 +112,7 @@ def _coprime_block(lo: int, hi: int, height: int, step: int):
         c, d = np.nonzero(coprime[i:j + 1])
         off = r - (ends[i - 1] if i else 0)
         yield np.stack((c[off:off + step] + (lo + i),
-                        d[off:off + step] - height), axis=1)
+                        d[off:off + step] - height), axis=1, dtype=float)
 
 
 # ----------------------------- series evaluation -----------------------------
@@ -302,14 +302,15 @@ def _norm_sq(rows: np.ndarray, mats: np.ndarray, out: np.ndarray | None = None,
     """|p M|^2 for every row p of `rows` and grid matrix M: (rows, grid),
     added one column of M at a time in place onto the first one's square.
     The sums go into `out` and the later columns' squares into `col`, two
-    (rows, grid) float tables, when given."""
-    p = rows.astype(float)
-    out = np.matmul(p, mats[:, :, 0].T, out=out)
+    (rows, grid) float tables, when given; matmul reads contiguous columns."""
+    p = np.asarray(rows, float)
+    cols = np.ascontiguousarray(mats.transpose(2, 1, 0))
+    out = np.matmul(p, cols[0], out=out)
     out *= out
     if col is None:
         col = np.empty_like(out)
-    for j in range(1, mats.shape[2]):
-        np.matmul(p, mats[:, :, j].T, out=col)
+    for c in cols[1:]:
+        np.matmul(p, c, out=col)
         col *= col
         out += col
     return out
@@ -318,10 +319,11 @@ def _norm_sq(rows: np.ndarray, mats: np.ndarray, out: np.ndarray | None = None,
 def _powers(sq: np.ndarray, e, shift, out: np.ndarray | None = None
             ) -> np.ndarray:
     """exp(e log(sq) + shift), in place on `sq` when `e` is real, else in
-    `out`, a complex table like `sq`, when given."""
+    `out`, a complex table like `sq`, when given; a zero shift is skipped."""
     logp = np.log(sq, out=sq)
     logp = np.multiply(logp, e, out=logp if isinstance(e, float) else out)
-    logp += shift
+    if np.any(shift):
+        logp += shift
     return np.exp(logp, out=logp)
 
 
@@ -434,9 +436,10 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
             k = len(v)
             terms = _powers(_norm_sq(v, mats, sq[:k], col[:k]), e, shift,
                             None if z is None else z[:k])
-            # elementwise: a max along the short row axis is several times
-            # slower; the copy is taken before the carry changes terms[0]
-            terms_inner = terms[np.maximum(v[:, 0], np.abs(v[:, 1])) <= half]
+            # elementwise (a max along the row axis is slower), copied before
+            # the carry changes terms[0]; no inner rows from c > H // 2 on
+            terms_inner = (terms[np.maximum(v[:, 0], np.abs(v[:, 1])) <= half]
+                           if v[0, 0] <= half else terms[:0])
             acc = _carry_sum(acc, terms)
             acc_inner = _carry_sum(acc_inner, terms_inner)
         total = total + acc

@@ -36,6 +36,7 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 4000  # terms of every truncated Dirichlet series
 DEFAULT_PRIME_LIMIT = 4096  # mock Hecke data covers DEFAULT_TRUNCATION
+_GOLDEN = 0.6180339887498949  # mock angles: seed * _GOLDEN mod 1 apart
 
 
 @dataclass(frozen=True)
@@ -112,46 +113,52 @@ def const_form(name: str = "1") -> FormSpec:
     return FormSpec(name=name, degree=1)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
+@lru_cache(maxsize=64)
+def _primes_up_to(n: int) -> tuple[int, ...]:
+    sieve = np.ones(max(n + 1, 2), bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            start = p * p
-            sieve[start: n + 1: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+            sieve[p * p::p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
-_GOLDEN = 0.6180339887498949
+@lru_cache(maxsize=1)
+def _mock_offsets() -> np.ndarray:
+    """random.Random(p).random() per prime p <= DEFAULT_PRIME_LIMIT."""
+    return np.array([random.Random(p).random()
+                     for p in _primes_up_to(DEFAULT_PRIME_LIMIT)])
 
 
-def _semicircle_angle(u: float) -> float:
-    """Inverse CDF of the density (2/pi) sin^2(theta) on (0, pi)."""
-    theta = math.pi * u
+def _semicircle_angles(u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the density (2/pi) sin^2(theta) on (0, pi), per entry:
+    Newton from pi u (a 1e-3 step where df < 1e-9), each entry stopping
+    after its first step below 1e-14 or after 60, then clamped."""
+    theta, live = math.pi * u, np.arange(len(u))
     for _ in range(60):
-        f = (theta - math.sin(theta) * math.cos(theta)) / math.pi - u
-        df = (1.0 - math.cos(2.0 * theta)) / math.pi
-        if df < 1e-9:
-            theta += 1e-3
-            continue
-        step = f / df
-        theta -= step
-        if abs(step) < 1e-14:
+        t, v = theta[live], u[live]
+        f = (t - np.sin(t) * np.cos(t)) / math.pi - v
+        df = (1.0 - np.cos(2.0 * t)) / math.pi
+        flat = df < 1e-9
+        step = f / np.where(flat, 1.0, df)
+        theta[live] = np.where(flat, t + 1e-3, t - step)
+        if not len(live := live[flat | ~(np.abs(step) < 1e-14)]):
             break
-    return min(max(theta, 1e-6), math.pi - 1e-6)
+    return np.clip(theta, 1e-6, math.pi - 1e-6)
 
 
-def _mock_angle(prime: int, seed: int) -> float:
-    """Deterministic angle in (0, pi), distinct across seeds at each prime."""
-    base = random.Random(prime).random()
-    u = (base + seed * _GOLDEN) % 1.0
-    theta = _semicircle_angle(u)
+def _mock_units(seed: int) -> list[complex]:
+    """e^{i theta_p} per prime p, theta_p in (0, pi) distinct across seeds."""
+    try:
+        u = (_mock_offsets() + seed * _GOLDEN) % 1.0
+    except OverflowError:
+        raise ValueError(f"mock seed {seed} overflows a float") from None
+    theta = _semicircle_angles(u)
     # keep lambda = 2 cos(theta) away from zero
-    if abs(math.cos(theta)) < 0.0125:
-        theta = _semicircle_angle((u + 0.04) % 1.0)
-    return theta
+    near = np.abs(np.cos(theta)) < 0.0125
+    theta[near] = _semicircle_angles((u[near] + 0.04) % 1.0)
+    # cos theta + i sin theta has the bits of cmath.exp(1j * theta)
+    return (np.cos(theta) + 1j * np.sin(theta)).tolist()
 
 
 @lru_cache(maxsize=128)
@@ -170,22 +177,20 @@ def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
     rng = random.Random(seed)
     t = 1.0 + 9.0 * rng.random()
     parity = rng.randint(0, 1)
+    primes = _primes_up_to(DEFAULT_PRIME_LIMIT)
     if degree == 2:
         alpha = (1j * t, -1j * t)
+        satake = {p: (z, z.conjugate())
+                  for p, z in zip(primes, _mock_units(seed))}
     else:
         ts = [1.0 + 9.0 * rng.random() for _ in range(degree - 1)]
         alpha = tuple(1j * v for v in ts) + (-1j * sum(ts),)
-    satake: dict[int, tuple[complex, ...]] = {}
-    for p in _primes_up_to(DEFAULT_PRIME_LIMIT):
-        if degree == 2:
-            theta = _mock_angle(p, seed)
-            beta = (cmath.exp(1j * theta), cmath.exp(-1j * theta))
-        else:
+        satake = {}
+        for p in primes:
             prng = random.Random(f"{seed}:{degree}:{p}")
-            angles = [2.0 * math.pi * prng.random() for _ in range(degree - 1)]
+            angles = [2 * math.pi * prng.random() for _ in range(degree - 1)]
             beta = tuple(cmath.exp(1j * a) for a in angles)
-            beta = beta + (cmath.exp(-1j * sum(angles)),)
-        satake[p] = beta
+            satake[p] = beta + (cmath.exp(-1j * sum(angles)),)
     return FormSpec(
         name=f"mock{degree}:{seed}",
         degree=degree,

@@ -412,6 +412,11 @@ class TestUsageErrors:
                                "const", "--s", "0.5"], "form specs"),
         "params-bad-mock-seed": (["params", "--partition", "1,2", "--forms",
                                   "const,mock:x", "--s", "0.5"], "mock seed"),
+        # a degree-2 mock angle shifts by seed * 0.618..., a float; degree-3
+        # slots take the same seed
+        "params-mock-seed-overflows-float": (
+            ["params", "--partition", "1,2", "--forms",
+             "const,mock:" + "9" * 400, "--s", "0.5"], "mock seed 999"),
         "eval-nan-s": (["eval", "--partition", "1,1", "--s", "nan",
                         "--height", "3"], "finite"),
         "eval-inf-s": (["eval", "--partition", "1,1", "--s", "inf",

@@ -76,7 +76,7 @@ class TestCosets:
     def test_gl2_canonical_unique(self):
         seen = set()
         for rows in itertools.chain.from_iterable(_coprime_pairs(12, 7)):
-            for c, d in rows.tolist():
+            for c, d in rows.astype(np.int64).tolist():
                 # a unimodular lift: a d - b c = 1
                 a = pow(d, -1, c) if c else 1
                 mat = np.array([[a, (a * d - 1) // c if c else 0], [c, d]])
@@ -94,7 +94,8 @@ class TestCosets:
     def test_gl2_blocks_match_gcd_enumeration(self, height):
         # the sieve's blocks against np.gcd over each c-block's (c, d) grid:
         # the same rows in the same order keep the GL(2) sums' bits.  Each
-        # block comes in chunks of `step` rows, the last one shorter
+        # block comes in float chunks of `step` rows, the last one shorter,
+        # ready for `_norm_sq`'s matmul
         want = _gcd_blocks(height)
         for step in (1, 7, 1024, 200 * (2 * height + 1)):
             got = [list(block) for block in _coprime_pairs(height, step)]
@@ -102,7 +103,7 @@ class TestCosets:
             for chunks, w in zip(got, want):
                 assert [len(v) for v in chunks] == [
                     len(w[lo:lo + step]) for lo in range(0, len(w), step)]
-                assert all(v.dtype == np.int64 for v in chunks)
+                assert all(v.dtype == np.float64 for v in chunks)
                 assert np.array_equal(np.concatenate(chunks), w)
 
     def test_gl3_complete_against_brute_force(self):
@@ -415,7 +416,11 @@ class TestGL2SumBits:
     streaming: each is a SHA-256 prefix of the bytes of both sums and the
     float.hex of the real part of their first entries.  The bits also
     depend on numpy's exp and log, which differ between its SIMD paths; the
-    whole-block comparison checks the summation order on any machine.
+    whole-block comparison checks the summation order on any machine.  The
+    last three were recorded before `_norm_sq` read contiguous columns and
+    `_powers` skipped an all-zero shift, which is what identity g gives: at
+    complex s, over a grid and at a single matrix, and a diagonal g at an
+    odd node count.
     """
 
     G = [[1.3, 0.4], [0.2, 0.9]]
@@ -438,6 +443,14 @@ class TestGL2SumBits:
         (96, 400, 1.2 + 0.3j, "G"): ("671a85ae1e959532",
                                      "0x1.915f23d6d8cdbp+1",
                                      "0x1.916d5ba79afcap+1"),
+        (32, 300, 1.3 + 0.2j, None): ("d70cc643806e32c1",
+                                      "0x1.72c61027e8b59p+1",
+                                      "0x1.72ca34f989fcap+1"),
+        (1, 200, 1.25 - 0.4j, None): ("40b7a8989b11a4db",
+                                      "0x1.69c5770c125cep+1",
+                                      "0x1.69d484636e780p+1"),
+        (9, 350, 1.4, "diag"): ("4c096ab50a8ae745", "0x1.7f12e98b7c11dp+1",
+                                "0x1.7f10e32f40108p+1"),
     }
 
     def _grid(self, nodes, g):

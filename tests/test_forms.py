@@ -2,12 +2,16 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
+import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from eiskit.forms import (
+    DEFAULT_PRIME_LIMIT,
     DEFAULT_TRUNCATION,
     FormSet,
     FormSpec,
@@ -20,6 +24,9 @@ from eiskit.forms import (
     lfunction_completed,
     mock_maass_form,
     _hecke_table,
+    _mock_offsets,
+    _primes_up_to,
+    _semicircle_angles,
     rankin_selberg_completed,
 )
 from eiskit.core import Partition, SpectralPoint
@@ -73,6 +80,97 @@ class TestMockForms:
         assert g3 == f3
         assert g3.satake == f3.satake
         assert hecke_extend(g3, 4) == hecke_extend(f3, 4)
+
+    def test_seed_beyond_float_range(self):
+        # degree 2 shifts each angle by seed * 0.618...; degree 3 hashes
+        # the seed and takes it whole
+        seed = 10**400
+        with pytest.raises(ValueError, match=f"mock seed {seed} "):
+            mock_maass_form(2, seed)
+        assert len(mock_maass_form(3, seed).satake) == len(
+            _primes_up_to(DEFAULT_PRIME_LIMIT))
+
+
+def test_primes_up_to():
+    for n in range(60):
+        want = [p for p in range(2, n + 1)
+                if all(p % q for q in range(2, p))]
+        assert _primes_up_to(n) == tuple(want)
+    primes = _primes_up_to(DEFAULT_PRIME_LIMIT)
+    assert (len(primes), primes[-1]) == (564, 4093)
+
+
+class TestMockFormBits:
+    """Mock Satake data, bit for bit.
+
+    Degree 2 solves the semicircle angles of all primes in one masked
+    Newton loop and builds e^{+-i theta} as cos theta +- i sin theta.  The
+    pins were recorded from the per-prime scalar solver (math.sin, math.cos
+    and cmath.exp) that it replaced: each is a SHA-256 prefix of the bytes
+    of the Satake parameters, in prime order.  Seeds 10^6 and 123456789
+    shift every angle by a large multiple of 0.618...; -5 by a negative one.
+    """
+
+    PINS = {
+        (2, 0): "822faec08b9530ee",
+        (2, 1): "4cb58563e914e63a",
+        (2, 7): "a0e352e6ee7b29cd",
+        (2, 67): "a6fab4a3721205cf",
+        (2, 99): "5dca8fd448c71388",
+        (2, -5): "3e5f92e3540cd975",
+        (2, 10**6): "6b6922c8ded2458e",
+        (2, 123456789): "be04b7c217f3234a",
+        (3, 2): "41b837f998636905",
+        (4, 2): "e6812857a34c9b2a",
+    }
+
+    @pytest.mark.parametrize("case", PINS)
+    def test_recorded_bits(self, case):
+        form = mock_maass_form(*case)
+        data = np.array([form.satake[p] for p in sorted(form.satake)],
+                        complex)
+        digest = hashlib.sha256(data.tobytes()).hexdigest()[:16]
+        assert digest == self.PINS[case]
+
+    def test_offsets_are_the_per_prime_draws(self):
+        assert _mock_offsets().tolist() == [
+            random.Random(p).random()
+            for p in _primes_up_to(DEFAULT_PRIME_LIMIT)]
+
+    @staticmethod
+    def _scalar_angle(u):
+        """The per-prime solver the masked loop replaced."""
+        theta = math.pi * u
+        for _ in range(60):
+            f = (theta - math.sin(theta) * math.cos(theta)) / math.pi - u
+            df = (1.0 - math.cos(2.0 * theta)) / math.pi
+            if df < 1e-9:
+                theta += 1e-3
+                continue
+            step = f / df
+            theta -= step
+            if abs(step) < 1e-14:
+                break
+        return min(max(theta, 1e-6), math.pi - 1e-6)
+
+    def test_masked_loop_matches_the_scalar_solver(self):
+        # u = 0 and its neighbours start at df < 1e-9
+        u = np.concatenate((np.linspace(0.0, 1.0, 4001)[:-1],
+                            [5e-324, 1e-300, 1e-5, 0.5, 1.0 - 2.0**-53]))
+        assert _semicircle_angles(u).tolist() == [
+            self._scalar_angle(x) for x in u.tolist()]
+
+    @pytest.mark.parametrize("seed", [3, 10**17])
+    def test_satake_matches_the_scalar_build(self, seed):
+        # 10^17 * 0.618... has no fractional bits: every u is 0
+        want = {}
+        for p in _primes_up_to(DEFAULT_PRIME_LIMIT):
+            u = (random.Random(p).random() + seed * 0.6180339887498949) % 1.0
+            theta = self._scalar_angle(u)
+            if abs(math.cos(theta)) < 0.0125:
+                theta = self._scalar_angle((u + 0.04) % 1.0)
+            want[p] = (cmath.exp(1j * theta), cmath.exp(-1j * theta))
+        assert mock_maass_form(2, seed).satake == want
 
 
 def _hecke_only(form):
