@@ -37,7 +37,6 @@ from .eisenstein import (
 )
 from .uniqueness import (
     AffineMap,
-    BlockStructure,
     UniquenessVerdict,
     decide_affine_symmetry,
     enumerate_permutation_symmetries,

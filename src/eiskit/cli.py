@@ -36,8 +36,8 @@ from .hecke import eis_hecke_eigenvalue
 from .eisenstein import (FWRequest, check_functional_equation,
                           eval_eisenstein, extract_fourier_coefficient)
 from .specfun import bessel_k, zeta_completed
-from .uniqueness import (BlockStructure, affine_map_from_json,
-                         decide_affine_symmetry, random_falsification)
+from .uniqueness import (affine_map_from_json, decide_affine_symmetry,
+                         random_falsification)
 
 __all__ = ["main", "dispatch"]
 
@@ -106,11 +106,16 @@ def _parse_partition(text: str) -> Partition:
     return _parse_list(text, "--partition", Partition)
 
 
-def _parse_blocks(text: str | None, partition: Partition) -> BlockStructure:
-    """--blocks, or one block of every slot when it is not given."""
+def _parse_blocks(text: str | None, partition: Partition) -> Partition:
+    """--blocks as a Partition of the partition's r slots, or all slots in
+    one block when it is not given."""
     if not text:
-        return BlockStructure((partition.r,))
-    return _parse_list(text, "--blocks", BlockStructure)
+        return Partition((partition.r,))
+    blocks = _parse_list(text, "--blocks", Partition)
+    if blocks.n != partition.r:
+        raise ValueError(f"--blocks {text} covers {blocks.n} slots, the "
+                         f"partition has {partition.r}")
+    return blocks
 
 
 def _parse_forms(text: str | None, partition: Partition) -> FormSet:

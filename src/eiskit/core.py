@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -50,7 +51,11 @@ def check_sum_zero(values: Sequence[complex], what: str) -> None:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered composition n = n_1 + ... + n_r selecting a standard parabolic."""
+    """Ordered composition n = n_1 + ... + n_r selecting a standard parabolic.
+
+    It also serves as the blocks of `uniqueness`: r blocks of consecutive
+    slots, n slots in all.
+    """
 
     parts: tuple[int, ...]
 
@@ -79,12 +84,13 @@ class Partition:
             raise ValueError(f"not a permutation of range({self.r}): {sigma}")
         return Partition(tuple(self.parts[sigma[j]] for j in range(self.r)))
 
-    def block_offsets(self) -> tuple[int, ...]:
-        """Cumulative offsets (0, n_1, n_1+n_2, ...)."""
-        offs = [0]
+    def index_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The consecutive index runs ((0, ..., n_1 - 1), (n_1, ...), ...)."""
+        out, start = [], 0
         for p in self.parts:
-            offs.append(offs[-1] + p)
-        return tuple(offs)
+            out.append(tuple(range(start, start + p)))
+            start += p
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -285,17 +291,9 @@ def power_function(s: SpectralPoint, g: GroupElement) -> complex:
         raise ValueError(f"matrix is {g.n}x{g.n}, partition has "
                          f"n={s.partition.n}")
     coords, _, _ = iwasawa(g)
-    return power_from_y(s, coords.y)
-
-
-def power_from_y(s: SpectralPoint, y: Sequence[float]) -> complex:
-    """Power function evaluated directly on Iwasawa y-coordinates."""
-    diag = _diag_from_y(y)
-    offs = s.partition.block_offsets()
+    diag = _diag_from_y(coords.y)
     out = 1.0 + 0.0j
-    for i, si in enumerate(s.values):
-        block_det = 1.0
-        for k in range(offs[i], offs[i + 1]):
-            block_det *= diag[k]
+    for idx, si in zip(s.partition.index_sets(), s.values):
+        block_det = math.prod(diag[k] for k in idx)
         out *= complex(block_det) ** complex(si)
     return out

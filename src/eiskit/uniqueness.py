@@ -28,7 +28,6 @@ from .forms import FormSet, FormSpec, _json_pairs
 
 __all__ = [
     "AffineMap",
-    "BlockStructure",
     "UniquenessVerdict",
     "decide_affine_symmetry",
     "enumerate_permutation_symmetries",
@@ -79,36 +78,6 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class BlockStructure:
-    """Partition of the index set {0, ..., r-1} into consecutive blocks."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v < 1 for v in self.sizes):
-            raise ValueError("block sizes must be positive")
-
-    @property
-    def r(self) -> int:
-        return sum(self.sizes)
-
-    def index_sets(self) -> tuple[tuple[int, ...], ...]:
-        out, start = [], 0
-        for size in self.sizes:
-            out.append(tuple(range(start, start + size)))
-            start += size
-        return tuple(out)
-
-    def block_of(self, i: int) -> int:
-        start = 0
-        for j, size in enumerate(self.sizes):
-            if start <= i < start + size:
-                return j
-            start += size
-        raise IndexError(i)
-
-
-@dataclass(frozen=True)
 class UniquenessVerdict:
     """Outcome of an exact affine-symmetry decision."""
 
@@ -117,7 +86,7 @@ class UniquenessVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
+def decide_affine_symmetry(partition: Partition, blocks: Partition,
                            mu: AffineMap) -> UniquenessVerdict:
     """Exact decision: is mu a divisor-sum symmetry on the hyperplane?
 
@@ -127,15 +96,18 @@ def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
     with effective shift b_i = 0, on the hyperplane sum n_i s_i = 0 of the
     partition's parts n_i.  A block groups slots of one attached form, so
     its parts must have one size; a block that mixes sizes raises ValueError.
+    ``blocks`` covers the r slots of ``partition`` (blocks.n == r).
     """
     r = partition.r
-    if blocks.r != r or mu.r != r:
+    if blocks.n != r or mu.r != r:
         raise ValueError("dimension mismatch between partition, blocks, mu")
     w = partition.parts
+    block_of = []
     for j, idx in enumerate(blocks.index_sets()):
         sizes = sorted({w[i] for i in idx})
         if len(sizes) > 1:
             raise ValueError(f"block {j} mixes parts of sizes {sizes}")
+        block_of.extend([j] * len(idx))
     assigned: dict[int, int] = {}
     shifts: list[Fraction] = []
     for i in range(r):
@@ -157,7 +129,7 @@ def decide_affine_symmetry(partition: Partition, blocks: BlockStructure,
                          "entries": [[v.numerator, v.denominator]
                                      for v in row]})
         j, t = match
-        if blocks.block_of(j) != blocks.block_of(i):
+        if block_of[j] != block_of[i]:
             return UniquenessVerdict(
                 accepted=False,
                 witness={"reason": "assignment crosses blocks",
@@ -232,7 +204,7 @@ def _random_affine(rng: random.Random, r: int) -> AffineMap:
     return AffineMap(a, b)
 
 
-def _exact_witness(partition: Partition, blocks: BlockStructure,
+def _exact_witness(partition: Partition, blocks: Partition,
                    mu: AffineMap, rng: random.Random) -> dict | None:
     """A rational s with sum n_i s_i = 0 and a block j whose multisets
     {s_i} and {mu_i(s)}, i in I_j, differ; None if every point tried ties.
@@ -256,7 +228,7 @@ def _exact_witness(partition: Partition, blocks: BlockStructure,
     return None
 
 
-def random_falsification(partition: Partition, blocks: BlockStructure,
+def random_falsification(partition: Partition, blocks: Partition,
                          trials: int, seed: int) -> FalsificationReport:
     """Reject `trials` random affine maps, each with an exact witness.
 

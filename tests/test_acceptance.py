@@ -37,7 +37,6 @@ from eiskit.eisenstein import (
 )
 from eiskit.uniqueness import (
     AffineMap,
-    BlockStructure,
     _exact_witness,
     decide_affine_symmetry,
     enumerate_permutation_symmetries,
@@ -233,12 +232,12 @@ def test_11_uniqueness_certification(monkeypatch):
     # exactly the kernel-classes of block permutations are accepted
     cases = [
         (Partition((1, 1, 1)),
-         FormSet((const_form(),) * 3), BlockStructure((3,))),
+         FormSet((const_form(),) * 3), Partition((3,))),
         (Partition((2, 2)),
          FormSet((mock_maass_form(2, 1), mock_maass_form(2, 2))),
-         BlockStructure((1, 1))),
+         Partition((1, 1))),
         (Partition((2, 2, 2)),
-         FormSet((mock_maass_form(2, 5),) * 3), BlockStructure((3,))),
+         FormSet((mock_maass_form(2, 5),) * 3), Partition((3,))),
     ]
     rng = random.Random(13)
     for part, forms, blocks in cases:
@@ -263,7 +262,7 @@ def test_11_uniqueness_certification(monkeypatch):
                 # points on the hyperplane, an accepted map ties in every block
                 for mu in (base, shifted):
                     assert _exact_witness(part, blocks, mu, rng) is None
-    part, blocks = Partition((1, 1, 1)), BlockStructure((3,))
+    part, blocks = Partition((1, 1, 1)), Partition((3,))
     maps = record_rejected_maps(monkeypatch)
     report = random_falsification(part, blocks, trials=100, seed=7)
     assert report.trials == 100 and report.rejections == 100

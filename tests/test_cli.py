@@ -398,6 +398,16 @@ class TestUsageErrors:
         "uniqueness-blocks-not-int": (
             ["uniqueness", "--partition", "1,1,1", "--blocks", "x",
              "--map", "mu.json"], "--blocks"),
+        # the blocks cover the partition's slots, one per part; the slot
+        # count is checked before the map file is read
+        "falsify-blocks-wrong-slot-count": (
+            ["falsify", "--partition", "1,1,1", "--blocks", "1,1",
+             "--trials", "3"], "--blocks 1,1 covers 2 slots, the partition "
+                               "has 3"),
+        "uniqueness-blocks-wrong-slot-count": (
+            ["uniqueness", "--partition", "1,1,1", "--blocks", "2,2",
+             "--map", "mu.json"], "--blocks 2,2 covers 4 slots, the "
+                                  "partition has 3"),
         "extract-m-not-int": (["extract", "--partition", "1,1", "--s", "1.5",
                                "--m", "x", "--height", "5"], "--m"),
         "extract-zero-nodes": (["extract", "--partition", "1,1", "--s", "1.5",

@@ -1,5 +1,6 @@
 """Parabolic bookkeeping: shift vectors, Iwasawa coordinates, parameters."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from eiskit.core import (
     SpectralPoint,
     iwasawa,
     langlands_parameter,
-    power_from_y,
     power_function,
     rho_borel,
     rho_parabolic,
@@ -150,13 +150,21 @@ class TestPowerFunction:
         lhs = power_function(s, GroupElement(u @ g.entries))
         assert lhs == pytest.approx(power_function(s, g), rel=1e-10)
 
-    def test_power_from_y_consistency(self):
-        p = Partition((1, 1, 1))
-        s = SpectralPoint((0.5, 0.25, -0.75), p)
-        y = (1.3, 0.8)
-        g = GroupElement.from_iwasawa(np.eye(3), y)
-        assert power_from_y(s, y) == pytest.approx(
-            power_function(s, g), rel=1e-12)
+    def test_recorded_bits(self):
+        # SHA-256 prefix of 50 seeded (s, g) cases per partition, n up to 5;
+        # recorded when the block products were read from cumulative offsets
+        rng = np.random.default_rng(31)
+        vals = []
+        for parts in [(1, 1), (1, 1, 1), (2, 1), (1, 2), (2, 2), (1, 3, 1)]:
+            p = Partition(parts)
+            for _ in range(50):
+                lead = (rng.uniform(-2, 2, p.r - 1)
+                        + 1j * rng.uniform(-1, 1, p.r - 1))
+                s = SpectralPoint.from_leading(p, lead)
+                g = GroupElement(rng.normal(size=(p.n, p.n)))
+                vals.append(power_function(s, g))
+        digest = hashlib.sha256(np.array(vals, complex).tobytes())
+        assert digest.hexdigest()[:16] == "4bec182b0844649b"
 
 
 class TestLanglandsParameter:
@@ -195,5 +203,5 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((0, 2))
 
-    def test_block_offsets(self):
-        assert Partition((2, 1, 3)).block_offsets() == (0, 2, 3, 6)
+    def test_index_sets(self):
+        assert Partition((2, 1, 3)).index_sets() == ((0, 1), (2,), (3, 4, 5))

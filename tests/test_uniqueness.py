@@ -14,7 +14,6 @@ from eiskit.core import Partition
 from eiskit.forms import FormSet, const_form, mock_maass_form
 from eiskit.uniqueness import (
     AffineMap,
-    BlockStructure,
     UniquenessVerdict,
     affine_map_from_json,
     affine_map_to_json,
@@ -25,7 +24,7 @@ from eiskit.uniqueness import (
 from witness_check import record_rejected_maps, refutes
 
 BOREL3 = Partition((1, 1, 1))
-BLOCKS3 = BlockStructure((3,))
+BLOCKS3 = Partition((3,))
 
 
 class TestDecision:
@@ -51,7 +50,7 @@ class TestDecision:
 
     def test_weighted_kernel_direction(self):
         part = Partition((2, 1))
-        blocks = BlockStructure((1, 1))
+        blocks = Partition((1, 1))
         rows = [[Fraction(1) + 2 * Fraction(1, 5), Fraction(1, 5)],
                 [Fraction(0), Fraction(1)]]
         mu = AffineMap(tuple(tuple(r) for r in rows), (Fraction(0),) * 2)
@@ -76,7 +75,7 @@ class TestDecision:
         assert verdict.witness["reason"] == "nonzero effective shift"
 
     def test_block_crossing_rejected(self):
-        blocks = BlockStructure((2, 1))
+        blocks = Partition((2, 1))
         mu = AffineMap.permutation((2, 1, 0))
         verdict = decide_affine_symmetry(BOREL3, blocks, mu)
         assert not verdict.accepted
@@ -96,7 +95,7 @@ class TestDecision:
         # recover the same underlying permutation
         rng = random.Random(11)
         part = Partition((1, 1, 1, 1))
-        blocks = BlockStructure((2, 2))
+        blocks = Partition((2, 2))
         sigmas = [(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (0, 1, 2, 3)]
         for _ in range(50):
             sigma = sigmas[rng.randrange(4)]
@@ -198,7 +197,7 @@ class TestFalsification:
 
     def test_witnesses_at_non_integer_points(self, monkeypatch):
         # a last part n_r = 2 puts half-integers into s
-        part, blocks = Partition((1, 1, 2, 2)), BlockStructure((2, 2))
+        part, blocks = Partition((1, 1, 2, 2)), Partition((2, 2))
         maps = record_rejected_maps(monkeypatch)
         report = random_falsification(part, blocks, trials=50, seed=3)
         assert report.all_rejected
@@ -214,7 +213,7 @@ class TestFalsification:
     def test_recorded_witnesses(self, monkeypatch):
         # exact rationals drawn from the seeded random.Random: no platform
         # can move them
-        part, blocks = Partition((2, 1, 1)), BlockStructure((1, 2))
+        part, blocks = Partition((2, 1, 1)), Partition((1, 2))
         maps = record_rejected_maps(monkeypatch)
         report = random_falsification(part, blocks, trials=4, seed=5)
         reason = "row is not a shifted basis vector"
@@ -284,7 +283,7 @@ class TestValidation:
     def test_block_mixing_part_sizes(self):
         # slots of one form have one degree: a block over parts (1, 2) is
         # malformed, not a block the swap could preserve
-        part, blocks = Partition((1, 2)), BlockStructure((2,))
+        part, blocks = Partition((1, 2)), Partition((2,))
         with pytest.raises(ValueError, match="mixes parts"):
             decide_affine_symmetry(part, blocks, AffineMap.permutation((1, 0)))
         with pytest.raises(ValueError, match="mixes parts"):
