@@ -109,7 +109,7 @@ def _parse_partition(text: str) -> Partition:
 def _parse_blocks(text: str | None, partition: Partition) -> Partition:
     """--blocks as a Partition of the partition's r slots, or all slots in
     one block when it is not given."""
-    if not text:
+    if text is None:
         return Partition((partition.r,))
     blocks = _parse_list(text, "--blocks", Partition)
     if blocks.n != partition.r:

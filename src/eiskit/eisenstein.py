@@ -401,19 +401,18 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     GL(2) coefficients cancel to ~1e-4 of the series, so their last digits
     depend on the summation order, and that order is fixed: each c-block of
     `_coprime_pairs` is summed on its own and added to the running total.
-    Inside a block, numpy's sum(axis=0) of a (rows, width >= 2) table adds
-    the rows one after another, in enumeration order.  The block streams in
-    chunks of at most `_ROW_ENTRIES` = 2^16 (row, grid point) entries (1024
-    rows at 64 grid points, 0.5 MB per real table), and each chunk's table
-    carries the block's running sum as its first row, so the chunked sum
-    adds the same numbers in the same order as one whole-block table.  The
-    inner sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is
-    carried the same way.  Every chunk's |vW|^2, log, power and exp go into
-    the same two float tables (and one complex table for complex s),
-    allocated once per call: with fresh tables per chunk the allocator
-    hands their pages back to the system and faults them in again.  A
-    single grid matrix (width 1) is summed pairwise, which chunks would
-    reorder, so its blocks stay whole; their table is one column.
+    The block streams in chunks of at most `_ROW_ENTRIES` = 2^16 (row, grid
+    point) entries (1024 rows at 64 grid points, 2^16 rows at one, 0.5 MB
+    per real table), and each chunk's table carries the block's running sum
+    as its first row.  numpy's sum(axis=0) of a (rows, width >= 2) table
+    adds the rows one after another, so there the chunked sum adds the same
+    numbers in the same order as one whole-block table; a one-column table
+    (a single grid matrix) is summed pairwise within each chunk.  The inner
+    sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is carried
+    the same way.  Every chunk's |vW|^2, log, power and exp go into the
+    same two float tables (and one complex table for complex s), allocated
+    once per call: with fresh tables per chunk the allocator hands their
+    pages back to the system and faults them in again.
     """
     half = height // 2
     if n == 3:
@@ -424,9 +423,7 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
     (mats, e, shift), = _row_factors(w_mats, s)
     width = len(w_mats)
-    # a c-block has at most 200 (2H + 1) rows
-    step = (max(1, _ROW_ENTRIES // width) if width > 1
-            else 200 * (2 * height + 1))
+    step = max(1, _ROW_ENTRIES // width)
     sq, col = np.empty((2, step, width))
     z = None if isinstance(e, float) else np.empty((step, width), complex)
     total = inner = 0.0

@@ -148,7 +148,8 @@ def _semicircle_angles(u: np.ndarray) -> np.ndarray:
 
 
 def _mock_units(seed: int) -> list[complex]:
-    """e^{i theta_p} per prime p, theta_p in (0, pi) distinct across seeds."""
+    """e^{i theta_p} per prime p, theta_p in (0, pi), shifted by the float
+    seed * _GOLDEN, which has no fractional bits from 2^52 / _GOLDEN on."""
     try:
         u = (_mock_offsets() + seed * _GOLDEN) % 1.0
     except OverflowError:
@@ -169,8 +170,10 @@ def mock_maass_form(degree: int = 2, seed: int = 1) -> FormSpec:
 
     Degree 2: (e^{i theta_p}, e^{-i theta_p}), so lambda(p) = 2 cos(theta_p),
     with theta_p semicircle-distributed, clamped away from 0, and distinct
-    across seeds at each prime (2 cos is injective on (0, pi)).  Degree >= 3:
-    unit-modulus parameters with product 1.
+    across moderate seeds at each prime (2 cos is injective on (0, pi)):
+    seeds above about 1e9 lose low bits of the per-prime offsets, and from
+    about 7.3e15 every seed gives one form.  Degree >= 3: unit-modulus
+    parameters with product 1.
     """
     if degree < 2:
         raise ValueError(f"mock forms require degree >= 2, got {degree}")

@@ -398,6 +398,14 @@ class TestUsageErrors:
         "uniqueness-blocks-not-int": (
             ["uniqueness", "--partition", "1,1,1", "--blocks", "x",
              "--map", "mu.json"], "--blocks"),
+        # an empty --blocks is a bad list, not a missing option; the map
+        # file is not read
+        "falsify-blocks-empty": (["falsify", "--partition", "1,1,1",
+                                  "--blocks", "", "--trials", "2"],
+                                 "bad --blocks ''"),
+        "uniqueness-blocks-empty": (
+            ["uniqueness", "--partition", "1,1,1", "--blocks", "",
+             "--map", "mu.json"], "bad --blocks ''"),
         # the blocks cover the partition's slots, one per part; the slot
         # count is checked before the map file is read
         "falsify-blocks-wrong-slot-count": (

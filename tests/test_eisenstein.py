@@ -416,20 +416,23 @@ class TestGL2SumBits:
     streaming: each is a SHA-256 prefix of the bytes of both sums and the
     float.hex of the real part of their first entries.  The bits also
     depend on numpy's exp and log, which differ between its SIMD paths; the
-    whole-block comparison checks the summation order on any machine.  The
-    last three were recorded before `_norm_sq` read contiguous columns and
-    `_powers` skipped an all-zero shift, which is what identity g gives: at
-    complex s, over a grid and at a single matrix, and a diagonal g at an
-    odd node count.
+    comparison against a reference built here checks the summation order on
+    any machine.  The last three were recorded before `_norm_sq` read
+    contiguous columns and `_powers` skipped an all-zero shift, which is
+    what identity g gives: at complex s, over a grid and at a single
+    matrix, and a diagonal g at an odd node count.  A single grid matrix
+    sums each chunk of 2^16 rows pairwise; the (1, 600) pin was recorded
+    once its blocks streamed in such chunks, the others at one matrix have
+    blocks of at most 2^16 rows, whose bits the chunking keeps.
     """
 
     G = [[1.3, 0.4], [0.2, 0.9]]
     # (nodes, H, s1, g): (digest, hex of S(H)[0], hex of S(H // 2)[0]).
     # after the (0, 1) block, 64 nodes at H = 500 take 300 chunks in 3
     # c-blocks and 7 nodes at H = 450 take 28; a single grid matrix (the
-    # eval path) keeps each block whole, 2 blocks at H = 100 and 4 at 600.
-    # At 96 nodes a chunk holds 682 rows, and the 801 rows of c = 1 at
-    # H = 400 span two chunks
+    # eval path) takes one chunk per block at H = 100 and 200, and at
+    # H = 600 9 chunks in 3 c-blocks.  At 96 nodes a chunk holds 682 rows,
+    # and the 801 rows of c = 1 at H = 400 span two chunks
     PINS = {
         (64, 500, 2.0, None): ("9f649194b5889117", "0x1.2a2e2b5956d7dp+1",
                                "0x1.2a2e2b1793b03p+1"),
@@ -438,7 +441,7 @@ class TestGL2SumBits:
                                     "0x1.71bf21fcb4c2ep+1"),
         (1, 100, 1.5, "diag"): ("b1b27389f5f67e77", "0x1.75438476363e3p+1",
                                 "0x1.753bd58c0fb32p+1"),
-        (1, 600, 1.5, "diag"): ("0ac9ef4d2ae8b1e7", "0x1.75461113c9e85p+1",
+        (1, 600, 1.5, "diag"): ("6f1998ab57ff93c4", "0x1.75461113c9e86p+1",
                                 "0x1.7545d92d0dfa1p+1"),
         (96, 400, 1.2 + 0.3j, "G"): ("671a85ae1e959532",
                                      "0x1.915f23d6d8cdbp+1",
@@ -468,18 +471,36 @@ class TestGL2SumBits:
                inner.view(float)[0].hex())
         assert got == self.PINS[case]
 
+    @staticmethod
+    def _carried(acc, terms):
+        # the running sum added into the first row, then numpy's sum
+        if acc is not None and len(terms):
+            terms[0] += acc
+        return terms.sum(axis=0) if acc is None or len(terms) else acc
+
     @pytest.mark.parametrize("case", [*PINS, (2, 300, 1.5, "G")])
     def test_same_order_as_whole_blocks(self, case):
-        # one (rows, grid) table per c-block, each summed by numpy at once
+        # one (rows, grid) table per c-block, each summed by numpy at once,
+        # which adds the rows one after another; a single grid matrix's
+        # one-column table is summed pairwise, so its blocks are cut into
+        # chunks of 2^16 rows, each carrying the block's running sum (and
+        # its inner rows the inner one) in its first row
         nodes, height, s1, g = case
         w = self._grid(nodes, g)
         s = SpectralPoint((s1, -s1), _borel(2))
         total = inner = 0.0
         for v in _gcd_blocks(height):
             terms, = _row_powers(w, s, v)
-            total = total + terms.sum(axis=0)
-            inner = inner + terms[np.abs(v).max(axis=1) <= height // 2].sum(
-                axis=0)
+            keep = np.abs(v).max(axis=1) <= height // 2
+            step = 1 << 16 if nodes == 1 else len(v)
+            acc = acc_inner = None
+            for lo in range(0, len(v), step):
+                chunk = terms[lo:lo + step]
+                chunk_inner = chunk[keep[lo:lo + step]]
+                acc = self._carried(acc, chunk)
+                acc_inner = self._carried(acc_inner, chunk_inner)
+            total = total + acc
+            inner = inner + acc_inner
         got_total, got_inner = _shell_sums(2, w, s, height)
         assert np.array_equal(got_total, total)
         assert np.array_equal(got_inner, inner)
@@ -501,6 +522,18 @@ class TestGL2SumBits:
             finally:
                 tracemalloc.stop()
             assert peak < 3e6, (height, nodes, peak)
+
+    def test_eval_peak_memory(self):
+        # at one grid matrix whole c-blocks of up to 366,000 rows peaked
+        # near 35 MB at H = 1500; chunks of 2^16 rows peak near 6 MB
+        s = SpectralPoint((1.5, -1.5), _borel(2))
+        tracemalloc.start()
+        try:
+            eval_eisenstein(2, GroupElement.identity(2), s, 1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestGL3SumBits:
