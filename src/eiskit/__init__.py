@@ -13,8 +13,6 @@ Modules:
 
 from .core import (
     GroupElement,
-    IwasawaCoords,
-    LanglandsParameterVec,
     Partition,
     SpectralPoint,
     iwasawa,

@@ -192,9 +192,9 @@ def _cmd_params(args) -> int:
     alpha = langlands_parameter(forms, s)
     report = {"command": "params",
               "partition": list(partition.parts),
-              "alpha": list(alpha.entries)}
+              "alpha": list(alpha)}
     rows = [{"index": i, "re": v.real, "im": v.imag}
-            for i, v in enumerate(alpha.entries)]
+            for i, v in enumerate(alpha)]
     _emit(report, rows, args)
     return 0
 

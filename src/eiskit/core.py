@@ -20,9 +20,7 @@ import numpy as np
 __all__ = [
     "Partition",
     "SpectralPoint",
-    "LanglandsParameterVec",
     "GroupElement",
-    "IwasawaCoords",
     "rho_parabolic",
     "rho_borel",
     "rho_phi",
@@ -132,18 +130,6 @@ class SpectralPoint:
 
 
 @dataclass(frozen=True)
-class LanglandsParameterVec:
-    """Complex n-tuple alpha with sum 0 (floating tolerance 1e-12)."""
-
-    entries: tuple[complex, ...]
-
-    def __post_init__(self):
-        entries = tuple(complex(v) for v in self.entries)
-        object.__setattr__(self, "entries", entries)
-        check_sum_zero(entries, "parameter entries")
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """An invertible real n x n matrix."""
 
@@ -176,27 +162,6 @@ class GroupElement:
     def from_iwasawa(cls, x: np.ndarray, y: Sequence[float]) -> "GroupElement":
         """Assemble x * diag-form(y); y = (y_1, ..., y_{n-1})."""
         return cls(np.array(x, dtype=float) @ np.diag(_diag_from_y(y)))
-
-
-@dataclass(frozen=True)
-class IwasawaCoords:
-    """Unit upper-triangular x and positive y = (y_1, ..., y_{n-1})."""
-
-    x: np.ndarray = field(repr=False)
-    y: tuple[float, ...]
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        n = x.shape[0]
-        if not np.allclose(np.diag(x), 1.0):
-            raise ValueError("x must have unit diagonal")
-        if np.any(np.abs(np.tril(x, -1)) > 1e-12):
-            raise ValueError("x must be upper triangular")
-        if len(self.y) != n - 1 or any(v <= 0 for v in self.y):
-            raise ValueError("y must be n-1 positive reals")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
 
 
 def _diag_from_y(y: Sequence[float]) -> list[float]:
@@ -240,8 +205,9 @@ def rho_parabolic_star(partition: Partition) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def langlands_parameter(forms, s: SpectralPoint) -> LanglandsParameterVec:
-    """Flattened n-tuple (alpha_{j,k} + s_j), blocks in order.
+def langlands_parameter(forms, s: SpectralPoint) -> tuple[complex, ...]:
+    """Flattened n-tuple (alpha_{j,k} + s_j), blocks in order; its sum is 0
+    within SUM_TOL, else ValueError.
 
     ``forms`` is a FormSet: ``forms.forms[j]`` has ``degree`` and
     ``alpha``; forms of degrees other than the parts of ``s.partition``
@@ -252,12 +218,15 @@ def langlands_parameter(forms, s: SpectralPoint) -> LanglandsParameterVec:
     for form, sj in zip(forms.forms, s.values):
         for a in form.alpha:
             entries.append(complex(a) + sj)
-    return LanglandsParameterVec(tuple(entries))
+    check_sum_zero(entries, "parameter entries")
+    return tuple(entries)
 
 
-def iwasawa(g: GroupElement) -> tuple[IwasawaCoords, np.ndarray, float]:
-    """Factor g = x * y * d * k (x unit upper triangular, y the positive
-    diagonal form, d > 0 central, k orthogonal).
+def iwasawa(g: GroupElement) -> tuple[np.ndarray, tuple[float, ...],
+                                      np.ndarray, float]:
+    """Factor g = x * y * d * k and return (x, y, k, d): x unit upper
+    triangular, y = (y_1, ..., y_{n-1}) > 0 the diagonal form, d > 0
+    central, k orthogonal.
 
     Implemented as an orthogonal-triangular factorization of the reversed
     transpose, which orthogonalizes the rows of g from the bottom up.  Any
@@ -275,13 +244,16 @@ def iwasawa(g: GroupElement) -> tuple[IwasawaCoords, np.ndarray, float]:
     signs[signs == 0] = 1.0
     t = t * signs[np.newaxis, :]
     k = signs[:, np.newaxis] * k
-    d = t[n - 1, n - 1]
     diag = np.diag(t)
-    if np.any(diag <= 0) or d <= 0:
+    # a positive finite diagonal makes x's own diagonal exactly 1 (qr's R
+    # is exactly 0 below it); at the ends of the float range an entry
+    # overflows, or a ratio y_i underflows to 0
+    if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("matrix is numerically singular")
-    y = tuple(diag[n - 2 - i] / diag[n - 1 - i] for i in range(n - 1))
-    x = t / diag[np.newaxis, :]
-    return IwasawaCoords(x, y), k, float(d)
+    y = tuple(float(diag[n - 2 - i] / diag[n - 1 - i]) for i in range(n - 1))
+    if not all(y):
+        raise ValueError("y must be n-1 positive reals")
+    return t / diag[np.newaxis, :], y, k, float(diag[n - 1])
 
 
 def power_function(s: SpectralPoint, g: GroupElement) -> complex:
@@ -290,8 +262,7 @@ def power_function(s: SpectralPoint, g: GroupElement) -> complex:
     if g.n != s.partition.n:
         raise ValueError(f"matrix is {g.n}x{g.n}, partition has "
                          f"n={s.partition.n}")
-    coords, _, _ = iwasawa(g)
-    diag = _diag_from_y(coords.y)
+    diag = _diag_from_y(iwasawa(g)[1])
     out = 1.0 + 0.0j
     for idx, si in zip(s.partition.index_sets(), s.values):
         block_det = math.prod(diag[k] for k in idx)

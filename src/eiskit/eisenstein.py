@@ -713,12 +713,12 @@ def fw_formula(request: FWRequest) -> complex:
             adj *= adjoint_l_at_one(form) ** (-0.5)
     alpha = langlands_parameter(request.forms, request.s)
     m_diag = np.diag([float(m)] + [1.0] * (n - 1))
-    coords, _, _ = iwasawa(GroupElement(m_diag @ request.g.entries))
+    x, y, _, _ = iwasawa(GroupElement(m_diag @ request.g.entries))
     if n == 2:
-        wval = whittaker_gl2(alpha.entries[0], coords.y[0])
+        wval = whittaker_gl2(alpha[0], y[0])
     else:
-        wval = whittaker_gl3(alpha.entries, coords.y[1], coords.y[0])
-    phase = cmath.exp(2j * math.pi * float(np.trace(coords.x, offset=1)))
+        wval = whittaker_gl3(alpha, y[1], y[0])
+    phase = cmath.exp(2j * math.pi * float(np.trace(x, offset=1)))
     return adj * lam * power * wval * phase
 
 
@@ -744,8 +744,7 @@ def check_functional_equation(forms: FormSet, s: SpectralPoint, sigma,
     forms2 = forms.permuted(sigma)
     if mode == "symbolic":
         left, right = (
-            sorted(langlands_parameter(f, x).entries,
-                   key=lambda z: (z.real, z.imag))
+            sorted(langlands_parameter(f, x), key=lambda z: (z.real, z.imag))
             for f, x in ((forms, s), (forms2, s2)))
         return FEReport(mode="symbolic", sigma=sigma, passed=left == right,
                         metadata={"partition": partition.parts,

@@ -25,7 +25,6 @@ __all__ = [
     "FormSet",
     "const_form",
     "mock_maass_form",
-    "hecke_extend",
     "lfunction_completed",
     "rankin_selberg_completed",
     "completion_factor",
@@ -109,8 +108,8 @@ class FormSet:
         return FormSet(tuple(self.forms[sigma[j]] for j in range(r)))
 
 
-def const_form(name: str = "1") -> FormSpec:
-    return FormSpec(name=name, degree=1)
+def const_form() -> FormSpec:
+    return FormSpec(name="1", degree=1)
 
 
 @lru_cache(maxsize=64)
@@ -240,15 +239,6 @@ def _local_series(form: FormSpec, p: int, k: int) -> list[complex]:
     for j in range(1, k + 1):
         out.append(-sum(q[i] * out[j - i]
                         for i in range(1, min(j, len(q) - 1) + 1)))
-    return out
-
-
-def hecke_extend(form: FormSpec, m: int) -> complex:
-    """lambda(m) of one form, the multiplicative extension of its prime data:
-    library API, and the tests' reference for the sieve and Dirichlet sums."""
-    out = 1.0 + 0.0j
-    for p, k in _factorize(m).items():
-        out *= _local_series(form, p, k)[k]
     return out
 
 

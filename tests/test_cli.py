@@ -416,6 +416,13 @@ class TestUsageErrors:
             ["uniqueness", "--partition", "1,1,1", "--blocks", "2,2",
              "--map", "mu.json"], "--blocks 2,2 covers 4 slots, the "
                                   "partition has 3"),
+        # M = (m, 1, ..., 1) with m >= 0
+        "extract-m-not-leading-only": (
+            ["extract", "--partition", "1,1,1", "--s", "2.4,0.1,-2.5", "--m",
+             "1,2", "--height", "8"], "only M = (m, 1, ..., 1) is supported"),
+        "extract-m-negative": (
+            ["extract", "--partition", "1,1", "--s", "1.5", "--m=-1",
+             "--height", "8"], "M must be an (n-1)-tuple with m >= 0"),
         "extract-m-not-int": (["extract", "--partition", "1,1", "--s", "1.5",
                                "--m", "x", "--height", "5"], "--m"),
         "extract-zero-nodes": (["extract", "--partition", "1,1", "--s", "1.5",
@@ -445,6 +452,12 @@ class TestUsageErrors:
         "eval-g-wrong-size": (["eval", "--partition", "1,1,1", "--s", "2,0",
                                "--height", "3", "--g", "[[1,0],[0,1]]"],
                               "bad --g"),
+        "eval-g-not-square": (["eval", "--partition", "1,1", "--s", "1.5",
+                               "--height", "10", "--g", "[[1,2]]"],
+                              "bad --g: expected a square matrix"),
+        "eval-g-singular": (["eval", "--partition", "1,1", "--s", "1.5",
+                             "--height", "10", "--g", "[[1,2],[2,4]]"],
+                            "bad --g: matrix is singular"),
         "extract-g-wrong-size": (["extract", "--partition", "1,1", "--s",
                                   "1.5", "--m", "1", "--height", "5", "--g",
                                   "[[1,0,0],[0,1,0],[0,0,1]]"], "bad --g"),
@@ -493,6 +506,11 @@ class TestUsageErrors:
         "check-fe-bessel-overflows": (
             ["check-fe", "--partition", "1,1", "--forms", "const,const",
              "--s=140", "--sigma", "2,1", "--mode", "numeric"], "overflows"),
+        # the numeric mode's Whittaker factor stops at GL(3)
+        "check-fe-numeric-gl4": (
+            ["check-fe", "--partition", "2,2", "--forms", "mock:3,mock:5",
+             "--s", "0.4", "--sigma", "2,1", "--mode", "numeric"],
+            "Whittaker factor implemented for n = 2, 3 only"),
         # det(g) = 1e400 overflows: numpy's warning must not reach stderr
         "eval-gl2-g-det-overflows": (
             ["eval", "--partition", "1,1", "--s", "2", "--height", "4", "--g",

@@ -9,7 +9,6 @@ import pytest
 
 from eiskit.core import (
     GroupElement,
-    LanglandsParameterVec,
     Partition,
     SpectralPoint,
     iwasawa,
@@ -58,6 +57,10 @@ class TestRho:
                 assert sum(nk * v for nk, v in
                            zip(parts, rho_parabolic(p))) == 0
 
+    def test_borel_needs_positive_n(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            rho_borel(0)
+
 
 class TestSpectralPoint:
     def test_weighted_sum_constraint(self):
@@ -79,12 +82,22 @@ class TestSpectralPoint:
         with pytest.raises(ValueError, match="finite"):
             SpectralPoint.from_leading(Partition((1, 1, 1)), [bad, 0.1])
 
+    def test_coordinate_counts(self):
+        with pytest.raises(ValueError,
+                           match="^expected 2 coordinates, got 1$"):
+            SpectralPoint((1.0,), Partition((1, 1)))
+        with pytest.raises(ValueError,
+                           match="^need 2 leading coordinates, got 1$"):
+            SpectralPoint.from_leading(Partition((1, 1, 1)), [0.5])
+
     def test_huge_finite_coordinates(self):
         # sup norms: abs() of 1.7e308(1 + i) overflows, the point does not;
         # a weighted sum that overflows is off the hyperplane
         big = complex(1.7e308, 1.7e308)
-        assert SpectralPoint((big, -big), Partition((1, 1))).values[0] == big
-        assert LanglandsParameterVec((big, -big)).entries[1] == -big
+        point = SpectralPoint((big, -big), Partition((1, 1)))
+        assert point.values[0] == big
+        forms = FormSet((const_form(),) * 2)
+        assert langlands_parameter(forms, point) == (big, -big)
         with pytest.raises(ValueError, match="not 0"):
             SpectralPoint((1e308, 1e308), Partition((2, 1)))
 
@@ -104,9 +117,9 @@ class TestIwasawa:
             y = np.exp(rng.normal(size=1))
             g = GroupElement.from_iwasawa(np.array([[1, x[0]], [0, 1]]),
                                           tuple(y))
-            coords, k, d = iwasawa(g)
-            assert coords.y[0] == pytest.approx(y[0], rel=1e-12)
-            assert coords.x[0, 1] == pytest.approx(x[0], rel=1e-10, abs=1e-12)
+            xg, yg, k, d = iwasawa(g)
+            assert yg[0] == pytest.approx(y[0], rel=1e-12)
+            assert xg[0, 1] == pytest.approx(x[0], rel=1e-10, abs=1e-12)
 
     def test_orthogonal_factor(self):
         rng = np.random.default_rng(5)
@@ -115,18 +128,30 @@ class TestIwasawa:
             if np.linalg.det(mat) < 0:
                 mat[0] *= -1
             g = GroupElement(mat)
-            coords, k, d = iwasawa(g)
+            x, y, k, d = iwasawa(g)
             assert np.allclose(k @ k.T, np.eye(n), atol=1e-12)
             # reassemble: x * diag(y-shape) * d * k = g
-            rebuilt = GroupElement.from_iwasawa(coords.x, coords.y).entries
+            rebuilt = GroupElement.from_iwasawa(x, y).entries
             rebuilt = rebuilt * d @ k
             assert np.allclose(rebuilt, mat, atol=1e-10 * np.abs(mat).max())
 
     def test_y_positive(self):
         rng = np.random.default_rng(11)
         g = GroupElement(rng.normal(size=(3, 3)))
-        coords, _, _ = iwasawa(g)
-        assert all(v > 0 for v in coords.y)
+        _, y, _, _ = iwasawa(g)
+        assert all(v > 0 for v in y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_edges(self):
+        # det g = 1, but y_1 = 1e-400 underflows to 0
+        with pytest.raises(ValueError,
+                           match="^y must be n-1 positive reals$"):
+            iwasawa(GroupElement(np.diag([1e-200, 1e200])))
+        # the norm of the bottom row (1.7e308, 1.7e308) overflows
+        with pytest.raises(ValueError,
+                           match="^matrix is numerically singular$"):
+            iwasawa(GroupElement(np.array([[0.0, 1.7e308],
+                                           [1.7e308, 1.7e308]])))
 
 
 class TestPowerFunction:
@@ -166,6 +191,12 @@ class TestPowerFunction:
         digest = hashlib.sha256(np.array(vals, complex).tobytes())
         assert digest.hexdigest()[:16] == "4bec182b0844649b"
 
+    def test_size_mismatch(self):
+        s = SpectralPoint((0.5, 0.1, -0.6), Partition((1, 1, 1)))
+        with pytest.raises(ValueError,
+                           match="^matrix is 2x2, partition has n=3$"):
+            power_function(s, GroupElement.identity(2))
+
 
 class TestLanglandsParameter:
     def test_borel_is_s(self):
@@ -174,14 +205,14 @@ class TestLanglandsParameter:
         p = Partition((1, 1, 1))
         s = SpectralPoint((0.5, 0.1, -0.6), p)
         alpha = langlands_parameter(FormSet((const_form(),) * 3), s)
-        assert np.allclose(alpha.entries, s.values, atol=1e-12)
+        assert np.allclose(alpha, s.values, atol=1e-12)
 
     def test_sum_zero(self):
         p = Partition((2, 1))
         s = SpectralPoint.from_leading(p, [0.4 + 0.3j])
         phi = mock_maass_form(2, 1)
         alpha = langlands_parameter(FormSet((phi, const_form())), s)
-        assert abs(sum(alpha.entries)) < 1e-10
+        assert abs(sum(alpha)) < 1e-10
 
     def test_permutation_covariance(self):
         # alpha(sigma P, sigma Phi, sigma s) is a permutation of alpha(P, Phi, s)
@@ -190,11 +221,11 @@ class TestLanglandsParameter:
         forms = FormSet((const_form(), phi))
         s = SpectralPoint.from_leading(p, [0.7])
         sigma = (1, 0)
-        a1 = sorted(langlands_parameter(forms, s).entries,
+        a1 = sorted(langlands_parameter(forms, s),
                     key=lambda z: (z.real, z.imag))
-        a2 = sorted(langlands_parameter(
-            forms.permuted(sigma), s.permuted(sigma)).entries,
-            key=lambda z: (z.real, z.imag))
+        a2 = sorted(langlands_parameter(forms.permuted(sigma),
+                                        s.permuted(sigma)),
+                    key=lambda z: (z.real, z.imag))
         assert np.allclose(a1, a2, atol=1e-12)
 
 
@@ -202,6 +233,14 @@ class TestPartition:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Partition((0, 2))
+
+    def test_empty_and_bad_permutation(self):
+        with pytest.raises(ValueError,
+                           match="^partition needs at least one part$"):
+            Partition(())
+        with pytest.raises(ValueError, match=r"^not a permutation of "
+                                             r"range\(2\): \(0, 0\)$"):
+            Partition((1, 2)).permuted((0, 0))
 
     def test_index_sets(self):
         assert Partition((2, 1, 3)).index_sets() == ((0, 1), (2,), (3, 4, 5))

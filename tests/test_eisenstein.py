@@ -376,6 +376,10 @@ class TestClosedForms:
         got = closed_form_fourier_gl2(5, 0.5 + 20j, 1.0)
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 
+    def test_rejects_bad_y(self):
+        with pytest.raises(ValueError, match="^need y > 0"):
+            closed_form_fourier_gl2(1, 1.5, 0.0)
+
 
 class TestGL2RecordedValues:
     """GL(2) sums against the values the benchmark records.
@@ -919,6 +923,12 @@ class TestFunctionalEquation:
         rep = check_functional_equation(forms, s, (1, 0), mode="symbolic")
         assert rep.passed
         assert tuple(rep.metadata["sigma_partition"]) == (2, 1)
+
+    def test_unknown_mode(self):
+        s = SpectralPoint((0.4, -0.4), _borel(2))
+        with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
+            check_functional_equation(_trivial_forms(2), s, (1, 0),
+                                      mode="exact")
 
     def test_symbolic_p22_swap(self):
         p = Partition((2, 2))

@@ -20,7 +20,6 @@ from eiskit.forms import (
     const_form,
     form_from_json,
     form_to_json,
-    hecke_extend,
     lfunction_completed,
     mock_maass_form,
     _hecke_table,
@@ -31,6 +30,8 @@ from eiskit.forms import (
 )
 from eiskit.core import Partition, SpectralPoint
 from eiskit.specfun import gamma_complex, zeta, zeta_completed
+
+from hecke_reference import hecke_extend
 
 mp.mp.dps = 25
 
@@ -80,6 +81,11 @@ class TestMockForms:
         assert g3 == f3
         assert g3.satake == f3.satake
         assert hecke_extend(g3, 4) == hecke_extend(f3, 4)
+
+    def test_degree_one_refused(self):
+        with pytest.raises(ValueError,
+                           match="^mock forms require degree >= 2, got 1$"):
+            mock_maass_form(1, 3)
 
     def test_seed_beyond_float_range(self):
         # degree 2 shifts each angle by seed * 0.618...; degree 3 hashes
@@ -380,6 +386,27 @@ class TestCompletedL:
         val = completion_factor(FormSet((const_form(), phi)), s)
         want = lfunction_completed(phi, 1 + s.values[0] - s.values[1])
         assert val == want
+
+    # outside the degrees each function implements, and on the boundary
+    # Re s = 1 of the truncated Dirichlet series
+    @pytest.mark.parametrize("call, match", [
+        (lambda: lfunction_completed(mock_maass_form(3, 1), 2.0),
+         "^degree-2 form required, got degree 3$"),
+        (lambda: lfunction_completed(mock_maass_form(2, 1), 1.0),
+         r"^direct summation needs Re s > 1, got \(1\+0j\)$"),
+        (lambda: rankin_selberg_completed(mock_maass_form(3, 1),
+                                          mock_maass_form(2, 1), 2.0),
+         "^convolution is implemented for degrees 1 and 2 only$"),
+        (lambda: rankin_selberg_completed(mock_maass_form(2, 1),
+                                          mock_maass_form(2, 2), 1.0),
+         r"^direct summation needs Re s > 1, got \(1\+0j\)$"),
+        (lambda: adjoint_l_at_one(const_form()),
+         "^degree-2 form required, got degree 1$"),
+    ], ids=["L-degree-3", "L-at-1", "RS-degrees-3-2", "RS-at-1",
+            "adjoint-const"])
+    def test_domain_errors(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_poles_raise_pole_error(self):
         with pytest.raises(ValueError,

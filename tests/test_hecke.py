@@ -6,8 +6,10 @@ import pytest
 
 from eiskit.cli import _compositions
 from eiskit.core import Partition, SpectralPoint
-from eiskit.forms import FormSet, const_form, hecke_extend, mock_maass_form
+from eiskit.forms import FormSet, const_form, mock_maass_form
 from eiskit.hecke import eis_hecke_eigenvalue
+
+from hecke_reference import hecke_extend
 
 
 def _mock_formset(partition, base_seed=1):

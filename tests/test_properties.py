@@ -136,9 +136,9 @@ def test_iwasawa_round_trip(data):
     n = len(y) + 1
     x = np.eye(n)
     x[np.triu_indices(n, 1)] = upper
-    coords, _, d = iwasawa(GroupElement.from_iwasawa(x, y))
-    assert coords.y == pytest.approx(tuple(y), rel=1e-9)
-    np.testing.assert_allclose(coords.x, x, rtol=0, atol=1e-9)
+    xg, yg, _, d = iwasawa(GroupElement.from_iwasawa(x, y))
+    assert yg == pytest.approx(tuple(y), rel=1e-9)
+    np.testing.assert_allclose(xg, x, rtol=0, atol=1e-9)
     assert d == pytest.approx(1.0, rel=1e-12)
 
 

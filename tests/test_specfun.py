@@ -61,6 +61,14 @@ class TestZeta:
         with pytest.raises(ValueError, match="gamma_complex at .* overflows"):
             zeta_completed(400)
 
+    def test_poles(self):
+        with pytest.raises(ValueError, match=r"^zeta has a pole at 1\.0$"):
+            zeta(1)
+        for s in (0, 1):
+            with pytest.raises(ValueError,
+                               match=rf"^zeta\* has a pole at {s}\.0$"):
+                zeta_completed(s)
+
     def test_beyond_checked_range_raises(self):
         # unguarded, the sum gives -5.8e15 - 1.2e14i at 2 + 1000i, where
         # |zeta(2 + it)| <= pi^2 / 6
@@ -147,6 +155,11 @@ class TestBesselK:
         # |nu| comparable to x, where a fixed-order series in 1/x fails
         expect = complex(mp.besselk(nu, x))
         assert bessel_k(nu, x) == pytest.approx(expect, rel=1e-10, abs=0)
+
+    def test_batch_rejects_nonpositive_x(self):
+        with pytest.raises(ValueError,
+                           match="^bessel_k_batch requires x > 0$"):
+            bessel_k_batch(0.5, [0.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_quadrature_overflow_raises(self):

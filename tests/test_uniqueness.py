@@ -11,7 +11,7 @@ import pytest
 from eiskit import uniqueness
 from eiskit.cli import dispatch
 from eiskit.core import Partition
-from eiskit.forms import FormSet, const_form, mock_maass_form
+from eiskit.forms import FormSet, FormSpec, const_form, mock_maass_form
 from eiskit.uniqueness import (
     AffineMap,
     UniquenessVerdict,
@@ -177,7 +177,7 @@ class TestEnumeration:
     def test_r6_mixed_forms_against_all_permutations(self):
         # the defining filter over all 6! permutations, same list and order
         names = ("a", "b", "a", "c", "b", "a")
-        forms = FormSet(tuple(const_form(nm) for nm in names))
+        forms = FormSet(tuple(FormSpec(name=nm, degree=1) for nm in names))
         expect = [sigma for sigma in itertools.permutations(range(6))
                   if all(names[sigma[i]] == names[i] for i in range(6))]
         assert len(expect) == 12  # 3! 2! 1!

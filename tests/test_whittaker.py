@@ -71,6 +71,11 @@ class TestGL3Symmetry:
         with pytest.raises(ValueError, match="^alpha must sum to zero$"):
             whittaker_gl3((1.0, 1.0, 1.0), 1.0, 1.0)
 
+    def test_rejects_nonpositive_y(self):
+        with pytest.raises(ValueError,
+                           match="^y coordinates must be positive$"):
+            whittaker_gl3((1, 0, -1), 0.0, 1.0)
+
 
 class TestGL3Pinned:
     """whittaker_gl3 against recorded values at complex alpha and y down to
@@ -128,6 +133,14 @@ class TestGL3Oracle:
         with pytest.raises(ValueError, match=r"^outside convergence cone: "
                                              r"Re\(alpha_1-alpha_2\) <= 0$"):
             jacquet_oracle((0.0, 1.0, -1.0), (1.0, 1.0))
+
+    def test_oracle_rejects_rank_and_y_count(self):
+        with pytest.raises(ValueError,
+                           match="^supported ranks are 2 and 3, got n=4$"):
+            jacquet_oracle((0.3, 0.1, -0.1, -0.3), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError,
+                           match="^need n-1 positive y coordinates$"):
+            jacquet_oracle((0.3, 0.0, -0.3), (1.0,))
 
     # recorded coarse and fine passes of the unipotent integral at the
     # benchmark's oracle point, a test_09 point it certifies and one it
