@@ -247,12 +247,16 @@ def iwasawa(g: GroupElement) -> tuple[np.ndarray, tuple[float, ...],
     diag = np.diag(t)
     # a positive finite diagonal makes x's own diagonal exactly 1 (qr's R
     # is exactly 0 below it); at the ends of the float range an entry
-    # overflows, or a ratio y_i underflows to 0
+    # overflows, or a ratio y_i underflows to 0 or overflows (Python floats
+    # divide to inf without a warning)
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("matrix is numerically singular")
-    y = tuple(float(diag[n - 2 - i] / diag[n - 1 - i]) for i in range(n - 1))
+    y = tuple(float(diag[n - 2 - i]) / float(diag[n - 1 - i])
+              for i in range(n - 1))
     if not all(y):
         raise ValueError("y must be n-1 positive reals")
+    if not all(map(math.isfinite, y)):
+        raise ValueError("y is beyond the float range")
     return t / diag[np.newaxis, :], y, k, float(diag[n - 1])
 
 
@@ -262,9 +266,17 @@ def power_function(s: SpectralPoint, g: GroupElement) -> complex:
     if g.n != s.partition.n:
         raise ValueError(f"matrix is {g.n}x{g.n}, partition has "
                          f"n={s.partition.n}")
-    diag = _diag_from_y(iwasawa(g)[1])
+    y = iwasawa(g)[1]
+    # a product of the y_i, or a power of it, may pass the float range
+    with np.errstate(over="ignore"):
+        diag = _diag_from_y(y)
     out = 1.0 + 0.0j
-    for idx, si in zip(s.partition.index_sets(), s.values):
-        block_det = math.prod(diag[k] for k in idx)
-        out *= complex(block_det) ** complex(si)
+    try:
+        for idx, si in zip(s.partition.index_sets(), s.values):
+            block_det = math.prod(diag[k] for k in idx)
+            out *= complex(block_det) ** complex(si)
+    except (OverflowError, ZeroDivisionError):
+        out = complex("nan")
+    if not cmath.isfinite(out):
+        raise ValueError("|g|^s is beyond the float range")
     return out

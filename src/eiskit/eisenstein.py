@@ -82,37 +82,54 @@ class FEReport:
 # ------------------------------- cosets --------------------------------------
 
 
-def _coprime_pairs(height: int, step: int):
+def _coprime_pairs(height: int, step: int, mirror: bool = False):
     """Bottom rows (c, d) of the GL(2) coset representatives up to `height`.
 
     Coprime (c, d) with |c|, |d| <= `height`, one per +- pair: (0, 1) and
     every c > 0, in (c, d) order.  Yields one iterable per block: (0, 1),
     then the c-blocks of width 200.  Each gives the block's rows in turn as
-    (rows, 2) float chunks of `step` rows (the last one shorter), read from
-    the block's own 200 x (2 height + 1) coprimality mask.
+    (rows, 2) float chunks read from the block's own coprimality mask:
+    chunks of `step` rows, the last one shorter.  With `mirror` only the
+    rows with d >= 0 come (for c > 0 the others are their mirrors (c, -d)),
+    in runs of whole c, each c's rows preceded by the spare row (c, -1) and
+    the run closed by a copy of its first one: at most `step` rows in all,
+    a c with more rows alone in its run.
     """
-    yield [np.array([[0.0, 1.0]])]
+    yield [np.array([[0.0, -1.0], [0.0, 1.0], [0.0, -1.0]] if mirror
+                    else [[0.0, 1.0]])]
     for lo in range(1, height + 1, 200):
-        yield _coprime_block(lo, min(lo + 200, height + 1), height, step)
+        yield _coprime_block(lo, min(lo + 200, height + 1), height, step,
+                             mirror)
 
 
-def _coprime_block(lo: int, hi: int, height: int, step: int):
+def _coprime_block(lo: int, hi: int, height: int, step: int, mirror: bool):
     """The coprime rows (c, d) with lo <= c < hi and |d| <= `height`, in
-    chunks of `step` rows (`_coprime_pairs`)."""
-    # coprime[c - lo, d + height]: each prime p strikes the rows c = 0 mod p
-    # at the columns d = 0 mod p (gcd(c, 0) = c)
-    coprime = np.ones((hi - lo, 2 * height + 1), bool)
+    chunks (`_coprime_pairs`)."""
+    d_lo = -1 if mirror else -height
+    # coprime[c - lo, d - d_lo]: each prime p strikes the rows c = 0 mod p
+    # at the columns d = 0 mod p (gcd(c, 0) = c); d = -1 stays
+    coprime = np.ones((hi - lo, height + 1 - d_lo), bool)
     for p in _primes_up_to(hi - 1):
-        coprime[-lo % p::p, height % p::p] = False
+        coprime[-lo % p::p, -d_lo % p::p] = False
     # ends[i]: the block's rows up to and including c = lo + i
     ends = np.cumsum(np.count_nonzero(coprime, axis=1))
-    for r in range(0, ends[-1], step):
-        # the c whose rows meet the block rows r, ..., r + step - 1
-        i, j = np.searchsorted(ends, (r, r + step - 1), side="right")
+    r = 0
+    while r < ends[-1]:
+        if mirror:
+            # the last c that ends within `step` rows with the closing spare,
+            # or else the next c
+            i = np.searchsorted(ends, r + step - 1, side="right") - 1
+            r_end = ends[max(i, np.searchsorted(ends, r, side="right"))]
+        else:
+            r_end = min(r + step, ends[-1])
+        # the c whose rows meet the block rows r, ..., r_end - 1
+        i, j = np.searchsorted(ends, (r, r_end - 1), side="right")
         c, d = np.nonzero(coprime[i:j + 1])
         off = r - (ends[i - 1] if i else 0)
-        yield np.stack((c[off:off + step] + (lo + i),
-                        d[off:off + step] - height), axis=1, dtype=float)
+        rows = np.stack((c[off:off + r_end - r] + (lo + i),
+                         d[off:off + r_end - r] + d_lo), axis=1, dtype=float)
+        yield np.concatenate((rows, rows[:1])) if mirror else rows
+        r = r_end
 
 
 # ----------------------------- series evaluation -----------------------------
@@ -378,15 +395,77 @@ def _pair_sums(p: np.ndarray, q: np.ndarray, iv: np.ndarray, ia: np.ndarray
     return total
 
 
-def _carry_sum(carry: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
-    """carry + the rows of `terms`, added one after another, the carry into
-    terms[0] in place; no carry for the first chunk of a block."""
-    if carry is None:
-        return terms.sum(axis=0)
-    if not len(terms):
-        return carry
-    terms[0] += carry
-    return terms.sum(axis=0)
+def _mirror_layout(mats: np.ndarray, shift: np.ndarray
+                   ) -> tuple[np.ndarray, int]:
+    """The grid matrices in an order whose reversal maps each to its mirror.
+
+    W_j mirrors W_m when each column of W_j equals +- the same column of
+    S W_m, S = diag(1, -1), and their log-shifts agree, under exact
+    comparison.  Then |(c, -d) W_j| = |(c, d) W_m| bit for bit (the products
+    and sums only change sign), so the GL(2) term of (c, -d) at W_j is that
+    of (c, d) at W_m.  Each W_m has at most one mirror, and one W may be its
+    own (u = 0 at a diagonal g).  Returns (order, n): the n unpaired
+    matrices in grid order, then the first of each pair, the self-mirrored
+    one and the mirrors in reverse, so that reversing order[n:] maps each
+    matrix to its mirror.
+    """
+    def keys(w):
+        # each column's sign fixed by its first nonzero entry, -0.0 as 0.0
+        lead = np.where(w[:, :1] != 0, w[:, :1], w[:, 1:])
+        return [k.tobytes() for k in w * np.sign(lead) + 0.0]
+
+    free, firsts, mirrors, own = {}, [], [], []
+    for j, (key, flipped) in enumerate(zip(keys(mats),
+                                           keys(mats * [[1.0], [-1.0]]))):
+        m = free.get(flipped)
+        if flipped == key and not own:
+            own.append(j)
+        elif m is not None and shift[m] == shift[j]:
+            del free[flipped]
+            firsts.append(m)
+            mirrors.append(j)
+        else:
+            free.setdefault(key, j)
+    paired = set(firsts + mirrors + own)
+    rest = [j for j in range(len(mats)) if j not in paired]
+    return np.array(rest + firsts + own + mirrors[::-1]), len(rest)
+
+
+def _carry_sum(terms: np.ndarray, acc: np.ndarray) -> None:
+    """acc + the rows of `terms`, added one after another (pairwise for one
+    column), into `acc` in place; the carry goes into terms[0]."""
+    if len(terms):
+        terms[0] += acc
+        np.add.reduce(terms, axis=0, out=acc)
+
+
+def _mirror_sums(terms: np.ndarray, rows: np.ndarray, acc: np.ndarray
+                 ) -> None:
+    """Add the GL(2) terms of each c to the running sums `acc`, in place.
+
+    `rows` are the rows (c, d >= 0) of whole c, each c's preceded by the
+    spare row (c, -1) and the last closed by one more (`_coprime_pairs`).
+    terms[:, :w] are their terms at the w = len(acc) grid matrices, and
+    terms[:, ::-1][:, :w] those of (c, -d) (`_mirror_layout`).  For each c
+    one numpy reduction over a view with negative row stride adds the terms
+    of d = -H, ..., -1 to the running sum put in the spare row after the
+    c's rows, and writes the sum to the spare row before them; a second adds
+    d = 0, ..., H from there and writes the next c's spare row.  So each
+    column adds (carry + first) + second + ..., row after row for w >= 2,
+    and no running sum lands on a term row that a later sum still reads.
+    """
+    width = len(acc)
+    pos, neg = terms[:, :width], terms[:, ::-1][:, :width]
+    spares = np.flatnonzero(rows[:, 1] < 0).tolist()
+    if len(spares) < 2:
+        return
+    # the first row is its own mirror at d = 0 (c = 1) and for (0, 1)
+    own = (rows[np.add(spares[:-1], 1)] == 0).any(axis=1)
+    neg[spares[1]] = acc
+    outs = [*(neg[b] for b in spares[2:]), acc]
+    for a, b, skip, out in zip(spares, spares[1:], own.tolist(), outs):
+        np.add.reduce(neg[b:a + skip:-1], axis=0, out=pos[a])
+        np.add.reduce(pos[a:b], axis=0, out=out)
 
 
 def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
@@ -400,19 +479,29 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
 
     GL(2) coefficients cancel to ~1e-4 of the series, so their last digits
     depend on the summation order, and that order is fixed: each c-block of
-    `_coprime_pairs` is summed on its own and added to the running total.
-    The block streams in chunks of at most `_ROW_ENTRIES` = 2^16 (row, grid
-    point) entries (1024 rows at 64 grid points, 2^16 rows at one, 0.5 MB
-    per real table), and each chunk's table carries the block's running sum
-    as its first row.  numpy's sum(axis=0) of a (rows, width >= 2) table
-    adds the rows one after another, so there the chunked sum adds the same
-    numbers in the same order as one whole-block table; a one-column table
-    (a single grid matrix) is summed pairwise within each chunk.  The inner
-    sum S(H // 2), over the rows with max(|c|, |d|) <= H // 2, is carried
-    the same way.  Every chunk's |vW|^2, log, power and exp go into the
-    same two float tables (and one complex table for complex s), allocated
-    once per call: with fresh tables per chunk the allocator hands their
-    pages back to the system and faults them in again.
+    `_coprime_pairs` is summed on its own, its rows added one after another
+    at every grid matrix W, and added to the running total.  The blocks
+    stream in chunks of at most `_ROW_ENTRIES` = 2^16 (row, table column)
+    entries, and every chunk's |vW|^2, log, power and exp go into the same
+    two float tables (and one complex table for complex s), allocated once
+    per call: with fresh tables per chunk the allocator hands their pages
+    back to the system and faults them in again.  numpy's sum over the rows
+    of a (rows, width >= 2) table adds them one after another, so the
+    chunks add the same numbers in the same order as whole-block tables.
+
+    A grid with mirrors (`_mirror_layout`: u and -u of `_unipotent_grid` at
+    a diagonal g) computes each term once per mirror pair.  Its chunks are
+    runs of whole c of the rows with d >= 0 only, their terms taken at the
+    grid matrices and at the mirrors of the unpaired ones, and each grid
+    matrix's terms of d < 0 are its mirror's, read in reverse row order
+    within each c (`_mirror_sums`).  At 64 nodes and g = 1 that is 65 table
+    columns over half the rows, 1008 rows a chunk.  A c with more rows is
+    taken whole, at every grid matrix, in slices of 2^16 entries.  A grid
+    without mirrors, or a single matrix (`eval`), streams all rows in fixed
+    chunks; numpy sums a one-column chunk pairwise, so a single matrix
+    keeps chunks of 2^16 rows.  The inner sum S(H // 2), over the rows with
+    max(|c|, |d|) <= H // 2, is carried the same way from a copy of those
+    rows.
     """
     half = height // 2
     if n == 3:
@@ -423,25 +512,59 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
     (mats, e, shift), = _row_factors(w_mats, s)
     width = len(w_mats)
-    step = max(1, _ROW_ENTRIES // width)
-    sq, col = np.empty((2, step, width))
-    z = None if isinstance(e, float) else np.empty((step, width), complex)
+    order, n = _mirror_layout(mats, shift)
+    mirror = width > 1 and n < width
+    mats, shift = mats[order], shift[order]
+    # the table's matrices: the grid, then the unpaired ones' mirrors S W
+    flip = mats[:n][::-1] * [[1.0], [-1.0]]
+    table = (np.concatenate((mats, flip)),
+             np.concatenate((shift, shift[:n][::-1])))
+    step, wide = (max(1, _ROW_ENTRIES // cols)
+                  for cols in (width + n * mirror, width))
+    bufs = [np.empty(max(_ROW_ENTRIES, width + n)) for _ in range(2)]
+    if not isinstance(e, float):
+        bufs.append(np.empty(len(bufs[0]), complex))
     total = inner = 0.0
-    for block in _coprime_pairs(height, step):
-        acc = acc_inner = None
+    for block in _coprime_pairs(height, step, mirror):
+        # the running sums start at -0.0, which leaves the first term as
+        # it is (x + -0.0 = x, signed zeros included)
+        acc, acc_inner = -np.zeros((2, width), bufs[-1].dtype)
         for v in block:
-            k = len(v)
-            terms = _powers(_norm_sq(v, mats, sq[:k], col[:k]), e, shift,
-                            None if z is None else z[:k])
-            # elementwise (a max along the row axis is slower), copied before
-            # the carry changes terms[0]; no inner rows from c > H // 2 on
-            terms_inner = (terms[np.maximum(v[:, 0], np.abs(v[:, 1])) <= half]
-                           if v[0, 0] <= half else terms[:0])
-            acc = _carry_sum(acc, terms)
-            acc_inner = _carry_sum(acc_inner, terms_inner)
+            if mirror and len(v) <= step:
+                parts = [(v, table, True)]
+            else:
+                if mirror:
+                    # a c with more rows than a table: all its rows at every
+                    # grid matrix, in slices of `wide` rows
+                    half_rows = v[1:-1]
+                    v = np.concatenate((half_rows[half_rows[:, 1] > 0][::-1]
+                                        * [1.0, -1.0], half_rows))
+                parts = [(v[lo:lo + wide], (mats, shift), False)
+                         for lo in range(0, len(v), wide)]
+            for rows, (m, sh), mirrored in parts:
+                cols = len(m)
+                sq, col, *z = (b[:len(rows) * cols].reshape(-1, cols)
+                               for b in bufs)
+                terms = _powers(_norm_sq(rows, m, sq, col), e, sh, *z)
+                if rows[0, 0] <= half:
+                    # elementwise (a max along the row axis is slower), copied
+                    # before the sums change `terms`; with the spare rows and
+                    # the closing one; none from c > H // 2 on
+                    keep = np.maximum(rows[:, 0], np.abs(rows[:, 1])) <= half
+                    keep[-1] |= mirrored
+                    if mirrored:
+                        _mirror_sums(terms[keep], rows[keep], acc_inner)
+                    else:
+                        _carry_sum(terms[keep], acc_inner)
+                if mirrored:
+                    _mirror_sums(terms, rows, acc)
+                else:
+                    _carry_sum(terms, acc)
         total = total + acc
         inner = inner + acc_inner
-    return total, inner
+    out = np.empty((2, width), total.dtype)
+    out[:, order] = total, inner
+    return out[0], out[1]
 
 
 # `_windowed_sums` slices the grid so that each slice's row tables hold at
@@ -654,8 +777,12 @@ def _unipotent_grid(n: int, nodes: int, g: np.ndarray, M: tuple[int, ...]
     u runs over the unipotent upper-triangular matrices whose entries u_ij
     (i < j) each take `nodes` values centred on 0: the truncated series is
     symmetric under u -> -u there, so the symmetric grid cancels odd
-    truncation noise.  The phases have one axis of length `nodes` per u_ij,
-    in the order of the grid matrices.
+    truncation noise.  The values k / `nodes` and -k / `nodes` are exact
+    negatives, so for n = 2 and a diagonal g the matrices at u and -u are
+    exact mirrors, whose lattice-sum terms `_shell_sums` computes once
+    (`_mirror_layout`); an even count's u = -1/2 has no partner.  The
+    phases have one axis of length `nodes` per u_ij, in the order of the
+    grid matrices.
     """
     u = (np.arange(nodes) - nodes // 2) / nodes
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

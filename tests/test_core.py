@@ -153,6 +153,31 @@ class TestIwasawa:
             iwasawa(GroupElement(np.array([[0.0, 1.7e308],
                                            [1.7e308, 1.7e308]])))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_y_overflow(self):
+        # det g = 1, but y_1 = 1e600 is beyond the float range
+        g = GroupElement(np.diag([1e300, 1e-300]))
+        with pytest.raises(ValueError, match="^y is beyond the float range$"):
+            iwasawa(g)
+        s = SpectralPoint((0.5, -0.5), Partition((1, 1)))
+        with pytest.raises(ValueError, match="^y is beyond the float range$"):
+            power_function(s, g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, diag", [
+        # y_1 = 1e300 is finite, y_1^3 is not
+        ((3, -3), [1e150, 1e-150]),
+        # y_1 y_2 = 1e400 overflows the diagonal
+        ((0.5, 0.1, -0.6), [1e200, 1.0, 1e-200]),
+        # y_1 y_2 = 1e-400 underflows to 0, which has no power -3
+        ((-3, 0, 3), [1e-200, 1.0, 1e200]),
+    ])
+    def test_power_beyond_float_range(self, values, diag):
+        s = SpectralPoint(values, Partition((1,) * len(values)))
+        with pytest.raises(ValueError,
+                           match=r"^\|g\|\^s is beyond the float range$"):
+            power_function(s, GroupElement(np.diag(diag)))
+
 
 class TestPowerFunction:
     def test_matches_y_power_gl2(self):

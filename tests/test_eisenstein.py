@@ -23,10 +23,12 @@ from eiskit.eisenstein import (
     eval_eisenstein,
     extract_fourier_coefficient,
     fw_formula,
+    _ROW_ENTRIES,
     _SUM_BLOCK,
     _TABLE_BLOCK,
     _coprime_pairs,
     _coset_pairs_gl3,
+    _mirror_layout,
     _pair_sums,
     _powers,
     _row_factors,
@@ -63,6 +65,35 @@ def _gcd_blocks(height):
         keep = np.gcd(cg, np.abs(dg)) == 1
         blocks.append(np.stack((cg[keep], dg[keep]), axis=1))
     return blocks
+
+
+def _sequential_sums(w, s, height):
+    """S(H) and S(H // 2) at the grid matrices `w`, every term computed at
+    every matrix and each c-block's rows added one after another (np.cumsum
+    keeps every partial sum, so it cannot reorder them), in slices of 4096
+    rows, the blocks then added in turn."""
+    half = height // 2
+    total = inner = 0.0
+    for v in _gcd_blocks(height):
+        sums = []
+        for rows in (v, v[np.abs(v).max(axis=1) <= half]):
+            acc = np.zeros(len(w))  # a block without rows adds 0
+            for lo in range(0, len(rows), 4096):
+                terms, = _row_powers(w, s, rows[lo:lo + 4096])
+                if lo:
+                    terms[0] += acc
+                acc = np.cumsum(terms, axis=0)[-1]
+            sums.append(acc)
+        total = total + sums[0]
+        inner = inner + sums[1]
+    return total, inner
+
+
+def _is_mirror(wa, wb):
+    """Each column of wa is +- the same column of diag(1, -1) wb, exactly."""
+    sb = wb * [[1.0], [-1.0]]
+    return all(np.array_equal(wa[:, k], sb[:, k])
+               or np.array_equal(wa[:, k], -sb[:, k]) for k in range(2))
 
 
 def _coset_rows(hv, ha):
@@ -105,6 +136,32 @@ class TestCosets:
                     len(w[lo:lo + step]) for lo in range(0, len(w), step)]
                 assert all(v.dtype == np.float64 for v in chunks)
                 assert np.array_equal(np.concatenate(chunks), w)
+        # with `mirror`, each block's rows with d >= 0 only, in runs of
+        # whole c: each c's rows after its spare row (c, -1), each run closed
+        # by a copy of its first spare and as long as `step` allows, a longer
+        # c alone in its run
+        for step in (1, 7, 1024, 200 * (2 * height + 1)):
+            got = [list(block) for block in _coprime_pairs(height, step,
+                                                           mirror=True)]
+            assert len(got) == len(want)
+            for chunks, w in zip(got, want):
+                rows = []
+                for i, v in enumerate(chunks):
+                    assert v.dtype == np.float64
+                    assert v[0, 1] == -1 and np.array_equal(v[-1], v[0])
+                    spares = np.flatnonzero(v[:-1, 1] == -1)
+                    runs = np.diff(np.append(spares, len(v) - 1))
+                    assert np.array_equal(np.repeat(v[spares, 0], runs),
+                                          v[:-1, 0])
+                    assert len(v) <= step or len(spares) == 1
+                    if i + 1 < len(chunks):
+                        # the next chunk's first c (and its spare) is too long
+                        nxt = np.flatnonzero(chunks[i + 1][:-1, 1] == -1)
+                        first = nxt[1] if len(nxt) > 1 else len(
+                            chunks[i + 1]) - 1
+                        assert len(v) + first > step
+                    rows.append(v[:-1][v[:-1, 1] >= 0])
+                assert np.array_equal(np.concatenate(rows), w[w[:, 1] >= 0])
 
     def test_gl3_complete_against_brute_force(self):
         # every unimodular matrix with bottom row and minor vector within the
@@ -414,7 +471,9 @@ class TestGL2SumBits:
     """The GL(2) shell sums S(H) and S(H // 2), bit for bit.
 
     `_shell_sums` streams each 200-wide c-block of `_coprime_pairs` in row
-    chunks of `_ROW_ENTRIES` (row, grid point) entries.  The pins were
+    chunks of `_ROW_ENTRIES` (row, table column) entries; a grid with
+    mirrors (`_mirror_layout`) in runs of whole c of the rows with d >= 0,
+    each grid matrix's terms of d < 0 read from its mirror's.  The pins were
     recorded from whole-block tables, before the chunking, and the last one
     from chunked blocks read from one full coprimality mask, before the
     streaming: each is a SHA-256 prefix of the bytes of both sums and the
@@ -432,8 +491,8 @@ class TestGL2SumBits:
 
     G = [[1.3, 0.4], [0.2, 0.9]]
     # (nodes, H, s1, g): (digest, hex of S(H)[0], hex of S(H // 2)[0]).
-    # after the (0, 1) block, 64 nodes at H = 500 take 300 chunks in 3
-    # c-blocks and 7 nodes at H = 450 take 28; a single grid matrix (the
+    # after the (0, 1) block, 64 nodes at H = 500 take 183 runs in 3
+    # c-blocks and 7 nodes at H = 450 take 28 chunks; a single grid matrix (the
     # eval path) takes one chunk per block at H = 100 and 200, and at
     # H = 600 9 chunks in 3 c-blocks.  At 96 nodes a chunk holds 682 rows,
     # and the 801 rows of c = 1 at H = 400 span two chunks
@@ -508,6 +567,79 @@ class TestGL2SumBits:
         got_total, got_inner = _shell_sums(2, w, s, height)
         assert np.array_equal(got_total, total)
         assert np.array_equal(got_inner, inner)
+
+    # (nodes, H, s1, g, unpaired grid matrices): odd nodes at g = 1, where
+    # all but u = 0 pair up and u = 0 is its own mirror; even nodes, whose
+    # u = -1/2 pairs with nothing; a diagonal g; complex s; a lower-left g
+    # entry, so no mirrors; a shifted grid with two pairs and three unpaired;
+    # and a c = 1 run (1101 rows, 2 spares) longer than a table at 64 nodes
+    MIRRORED = [(9, 300, 1.5, None, 0), (16, 300, 1.5, None, 1),
+                (12, 250, 1.4, "diag", 1), (10, 300, 1.2 + 0.3j, None, 1),
+                (8, 300, 1.5, [[1.0, 0.3], [0.0, 1.0]], 8),
+                (8, 300, 1.5, [[1.0, -0.125], [0.0, 1.0]], 3),
+                (64, 1100, 1.5, None, 1)]
+
+    @pytest.mark.parametrize("case", MIRRORED)
+    def test_mirrored_sums_match_sequential(self, case):
+        nodes, height, s1, g, unpaired = case
+        w = (_unipotent_grid(2, nodes, np.array(g), (1,))[0]
+             if isinstance(g, list) else self._grid(nodes, g))
+        s = SpectralPoint((s1, -s1), _borel(2))
+        (mats, _, shift), = _row_factors(w, s)
+        order, n = _mirror_layout(mats, shift)
+        assert n == unpaired
+        assert sorted(order) == list(range(nodes))
+        # reversing the order past the unpaired matrices maps each to its
+        # mirror
+        assert all(_is_mirror(w[a], w[b])
+                   for a, b in zip(order[n:], order[n:][::-1]))
+        if nodes == 64:
+            assert height + 1 + 2 > _ROW_ENTRIES // (nodes + n)
+        got_total, got_inner = _shell_sums(2, w, s, height)
+        want_total, want_inner = _sequential_sums(w, s, height)
+        assert np.array_equal(got_total, want_total)
+        assert np.array_equal(got_inner, want_inner)
+
+    def test_one_ulp_breaks_a_mirror(self):
+        # u = -5/16 (index 3) mirrors u = 5/16 (index 13) exactly; one ulp
+        # off, both are unpaired, beside u = -1/2, and the sums still match
+        s = SpectralPoint((1.3 + 0.2j, -1.3 - 0.2j), _borel(2))
+        w = self._grid(16, None)
+        assert _is_mirror(w[3], w[13])
+        w[3, 0, 1] = np.nextafter(w[3, 0, 1], 1.0)
+        assert not _is_mirror(w[3], w[13])
+        (mats, _, shift), = _row_factors(w, s)
+        order, n = _mirror_layout(mats, shift)
+        assert n == 3 and sorted(order[:n]) == [0, 3, 13]
+        got_total, got_inner = _shell_sums(2, w, s, 150)
+        want_total, want_inner = _sequential_sums(w, s, 150)
+        assert np.array_equal(got_total, want_total)
+        assert np.array_equal(got_inner, want_inner)
+
+    @pytest.mark.parametrize("width", [2, 3, 33, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_reversed_view_sum_is_row_after_row(self, dtype, width):
+        # `_mirror_sums` needs numpy to add the rows of a view with negative
+        # row (and column) stride one after another, into a row of the same
+        # table, as it does for a C-ordered table of >= 2 columns; a numpy
+        # that reorders such a reduction fails here by name
+        rng = np.random.default_rng(width)
+        shape = (700, width + 3)
+        t = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, shape)
+        if dtype is complex:
+            t = t + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(
+                -12, 12, shape)
+        for view in (t[600:99:-1, :width], t[:, ::-1][600:99:-1, :width],
+                     t[99:600, 3:]):
+            want = view[0].copy()
+            for row in view[1:]:
+                want = want + row
+            out = t[650, :width]
+            np.add.reduce(view, axis=0, out=out)
+            assert np.array_equal(out, want)
+            # the data tells the two orders apart
+            assert not np.array_equal(np.add.reduce(view[::-1], axis=0),
+                                      want)
 
     def test_extraction_peak_memory(self):
         # the README extraction, and a taller one: whole c-blocks held
