@@ -232,6 +232,22 @@ def iwasawa(g: GroupElement) -> tuple[np.ndarray, tuple[float, ...],
     transpose, which orthogonalizes the rows of g from the bottom up.  Any
     sign of det g is absorbed into k.
     """
+    x, diag, k = _iwasawa_diagonal(g)
+    n = g.n
+    y = tuple(float(diag[n - 2 - i]) / float(diag[n - 1 - i])
+              for i in range(n - 1))
+    if not all(y):
+        raise ValueError("y must be n-1 positive reals")
+    if not all(map(math.isfinite, y)):
+        raise ValueError("y is beyond the float range")
+    return x, y, k, float(diag[n - 1])
+
+
+def _iwasawa_diagonal(g: GroupElement) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Factor g = x * a * k as `iwasawa` does and return (x, a, k), a the
+    positive diagonal as an array: no ratio of its entries is formed, so
+    it holds where a y_i passes the float range."""
     m = g.entries
     n = g.n
     rev = np.arange(n)[::-1]
@@ -247,17 +263,11 @@ def iwasawa(g: GroupElement) -> tuple[np.ndarray, tuple[float, ...],
     diag = np.diag(t)
     # a positive finite diagonal makes x's own diagonal exactly 1 (qr's R
     # is exactly 0 below it); at the ends of the float range an entry
-    # overflows, or a ratio y_i underflows to 0 or overflows (Python floats
-    # divide to inf without a warning)
+    # overflows, or (in `iwasawa`) a ratio y_i underflows to 0 or overflows
+    # (Python floats divide to inf without a warning)
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError("matrix is numerically singular")
-    y = tuple(float(diag[n - 2 - i]) / float(diag[n - 1 - i])
-              for i in range(n - 1))
-    if not all(y):
-        raise ValueError("y must be n-1 positive reals")
-    if not all(map(math.isfinite, y)):
-        raise ValueError("y is beyond the float range")
-    return t / diag[np.newaxis, :], y, k, float(diag[n - 1])
+    return t / diag[np.newaxis, :], diag, k
 
 
 def power_function(s: SpectralPoint, g: GroupElement) -> complex:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GroupElement, Partition, SpectralPoint, iwasawa,
-                   langlands_parameter, rho_borel)
+from .core import (GroupElement, Partition, SpectralPoint,
+                   _iwasawa_diagonal, iwasawa, langlands_parameter, rho_borel)
 from .forms import (DEFAULT_TRUNCATION, FormSet, _primes_up_to,
                     adjoint_l_at_one, const_form)
 from .hecke import eis_hecke_eigenvalue
@@ -41,9 +41,11 @@ class FWRequest:
     The coefficient at g is the integral over the unipotent u (entries in
     [0, 1)) of E(u g) e(-sum_i M_i u_{i,i+1}), with e(t) = exp(2 pi i t).
     For g = x a k in Iwasawa form it is e(sum_i M_i x_{i,i+1}) times the
-    coefficient at a.  m = 0 requests the constant term (quadrature
-    extraction only; the factored coefficient formula needs m >= 1).
-    ``s`` must be a point of ``partition``.
+    coefficient at a (the torus rule: u -> u x maps the period onto
+    itself, the character is multiplicative, and E(g k) = E(g)).  m = 0
+    requests the constant term (quadrature extraction only; the factored
+    coefficient formula needs m >= 1).  ``s`` must be a point of
+    ``partition``.
     """
 
     partition: Partition
@@ -431,9 +433,10 @@ def _mirror_layout(mats: np.ndarray, shift: np.ndarray
     return np.array(rest + firsts + own + mirrors[::-1]), len(rest)
 
 
-def _carry_sum(terms: np.ndarray, acc: np.ndarray) -> None:
-    """acc + the rows of `terms`, added one after another (pairwise for one
-    column), into `acc` in place; the carry goes into terms[0]."""
+def _carry_sum(terms: np.ndarray, rows: np.ndarray, acc: np.ndarray) -> None:
+    """acc + the rows of `terms`, added pairwise for one column, into `acc`
+    in place; the carry goes into terms[0].  `rows` is unused: the
+    arguments are `_mirror_sums`'."""
     if len(terms):
         terms[0] += acc
         np.add.reduce(terms, axis=0, out=acc)
@@ -480,28 +483,25 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
     GL(2) coefficients cancel to ~1e-4 of the series, so their last digits
     depend on the summation order, and that order is fixed: each c-block of
     `_coprime_pairs` is summed on its own, its rows added one after another
-    at every grid matrix W, and added to the running total.  The blocks
-    stream in chunks of at most `_ROW_ENTRIES` = 2^16 (row, table column)
-    entries, and every chunk's |vW|^2, log, power and exp go into the same
-    two float tables (and one complex table for complex s), allocated once
-    per call: with fresh tables per chunk the allocator hands their pages
-    back to the system and faults them in again.  numpy's sum over the rows
-    of a (rows, width >= 2) table adds them one after another, so the
-    chunks add the same numbers in the same order as whole-block tables.
+    at every grid matrix W, and added to the running total.  Every chunk's
+    |vW|^2, log, power and exp go into the same two float tables (and one
+    complex table for complex s), allocated once per call: with fresh
+    tables per chunk the allocator hands their pages back to the system and
+    faults them in again.
 
-    A grid with mirrors (`_mirror_layout`: u and -u of `_unipotent_grid` at
-    a diagonal g) computes each term once per mirror pair.  Its chunks are
-    runs of whole c of the rows with d >= 0 only, their terms taken at the
-    grid matrices and at the mirrors of the unpaired ones, and each grid
-    matrix's terms of d < 0 are its mirror's, read in reverse row order
-    within each c (`_mirror_sums`).  At 64 nodes and g = 1 that is 65 table
-    columns over half the rows, 1008 rows a chunk.  A c with more rows is
-    taken whole, at every grid matrix, in slices of 2^16 entries.  A grid
-    without mirrors, or a single matrix (`eval`), streams all rows in fixed
-    chunks; numpy sums a one-column chunk pairwise, so a single matrix
-    keeps chunks of 2^16 rows.  The inner sum S(H // 2), over the rows with
-    max(|c|, |d|) <= H // 2, is carried the same way from a copy of those
-    rows.
+    A grid streams runs of whole c of the rows with d >= 0 only, their
+    terms taken at the grid matrices and at the mirrors of the unpaired
+    ones (`_mirror_layout`), and each grid matrix's terms of d < 0 are its
+    mirror's, read in reverse row order within each c (`_mirror_sums`).
+    Extraction sums on the torus (the torus rule of `FWRequest`), where the
+    matrices at u and -u of `_unipotent_grid` are mirrors, so each term is
+    computed once per mirror pair: at 64 nodes that is 65 table columns
+    over half the rows.  A run holds up to 2^16 (row, table column)
+    entries, and the tables hold the longest c, c = 1 with H + 1 rows and
+    two spares.  A single matrix (`eval`) streams all rows in chunks of
+    2^16 rows, which numpy sums pairwise.  The inner sum S(H // 2), over
+    the rows with max(|c|, |d|) <= H // 2, is carried the same way from a
+    copy of those rows.
     """
     half = height // 2
     if n == 3:
@@ -512,16 +512,17 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         return inner + _pair_sums(p, q, iv[cut:], ia[cut:]), inner
     (mats, e, shift), = _row_factors(w_mats, s)
     width = len(w_mats)
-    order, n = _mirror_layout(mats, shift)
-    mirror = width > 1 and n < width
-    mats, shift = mats[order], shift[order]
-    # the table's matrices: the grid, then the unpaired ones' mirrors S W
-    flip = mats[:n][::-1] * [[1.0], [-1.0]]
-    table = (np.concatenate((mats, flip)),
-             np.concatenate((shift, shift[:n][::-1])))
-    step, wide = (max(1, _ROW_ENTRIES // cols)
-                  for cols in (width + n * mirror, width))
-    bufs = [np.empty(max(_ROW_ENTRIES, width + n)) for _ in range(2)]
+    mirror = width > 1
+    order, step = np.arange(width), _ROW_ENTRIES
+    if mirror:
+        order, n = _mirror_layout(mats, shift)
+        mats, shift = mats[order], shift[order]
+        # the grid, then the unpaired ones' mirrors S W
+        mats = np.concatenate((mats, mats[:n][::-1] * [[1.0], [-1.0]]))
+        shift = np.concatenate((shift, shift[:n][::-1]))
+        step = max(_ROW_ENTRIES // len(mats), height + 3)
+    cols, add = len(mats), _mirror_sums if mirror else _carry_sum
+    bufs = [np.empty(step * cols) for _ in range(2)]
     if not isinstance(e, float):
         bufs.append(np.empty(len(bufs[0]), complex))
     total = inner = 0.0
@@ -529,37 +530,18 @@ def _shell_sums(n: int, w_mats: np.ndarray, s: SpectralPoint, height: int
         # the running sums start at -0.0, which leaves the first term as
         # it is (x + -0.0 = x, signed zeros included)
         acc, acc_inner = -np.zeros((2, width), bufs[-1].dtype)
-        for v in block:
-            if mirror and len(v) <= step:
-                parts = [(v, table, True)]
-            else:
-                if mirror:
-                    # a c with more rows than a table: all its rows at every
-                    # grid matrix, in slices of `wide` rows
-                    half_rows = v[1:-1]
-                    v = np.concatenate((half_rows[half_rows[:, 1] > 0][::-1]
-                                        * [1.0, -1.0], half_rows))
-                parts = [(v[lo:lo + wide], (mats, shift), False)
-                         for lo in range(0, len(v), wide)]
-            for rows, (m, sh), mirrored in parts:
-                cols = len(m)
-                sq, col, *z = (b[:len(rows) * cols].reshape(-1, cols)
-                               for b in bufs)
-                terms = _powers(_norm_sq(rows, m, sq, col), e, sh, *z)
-                if rows[0, 0] <= half:
-                    # elementwise (a max along the row axis is slower), copied
-                    # before the sums change `terms`; with the spare rows and
-                    # the closing one; none from c > H // 2 on
-                    keep = np.maximum(rows[:, 0], np.abs(rows[:, 1])) <= half
-                    keep[-1] |= mirrored
-                    if mirrored:
-                        _mirror_sums(terms[keep], rows[keep], acc_inner)
-                    else:
-                        _carry_sum(terms[keep], acc_inner)
-                if mirrored:
-                    _mirror_sums(terms, rows, acc)
-                else:
-                    _carry_sum(terms, acc)
+        for rows in block:
+            sq, col, *z = (b[:len(rows) * cols].reshape(-1, cols)
+                           for b in bufs)
+            terms = _powers(_norm_sq(rows, mats, sq, col), e, shift, *z)
+            if rows[0, 0] <= half:
+                # elementwise (a max along the row axis is slower), copied
+                # before the sums change `terms`; with the spare rows and
+                # the closing one; none from c > H // 2 on
+                keep = np.maximum(rows[:, 0], np.abs(rows[:, 1])) <= half
+                keep[-1] |= mirror
+                add(terms[keep], rows[keep], acc_inner)
+            add(terms, rows, acc)
         total = total + acc
         inner = inner + acc_inner
     out = np.empty((2, width), total.dtype)
@@ -717,22 +699,25 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
                                 quad_nodes: int) -> complex:
     """M-th Fourier coefficient of the truncated series.
 
-    Periodic trapezoid quadrature of the truncated lattice sum at u g against
-    exp(-2 pi i sum m_i u_{i,i+1}) over the unipotent coordinates, with
-    `quad_nodes` nodes per axis.  When `quad_nodes` is even, the embedded
-    half-grid provides a convergence diagnostic; a relative disagreement
-    beyond 0.25 raises ValueError "node-doubling disagreement in coefficient
-    extraction (achieved estimate ...)".  A grid of N nodes folds the mode
-    m - N onto m, a smaller mode when N < 2m, so `quad_nodes` below
-    max(1, 2 max(M)) raises ValueError, as does a sum beyond the float range.
+    Periodic trapezoid quadrature of the truncated lattice sum at u a
+    against exp(-2 pi i sum m_i u_{i,i+1}) over the unipotent coordinates,
+    with `quad_nodes` nodes per axis, a the torus point of g = x a k
+    (`core.iwasawa`'s QR).  The value is then multiplied by
+    e(sum_i M_i x_{i,i+1}), the phase of FWRequest's torus rule; at x = 1
+    it is left as it is.  When `quad_nodes` is even, the embedded half-grid
+    provides a convergence diagnostic; a relative disagreement beyond 0.25
+    raises ValueError "node-doubling disagreement in coefficient extraction
+    (achieved estimate ...)".  A grid of N nodes folds the mode m - N onto
+    m, a smaller mode when N < 2m, so `quad_nodes` below max(1, 2 max(M))
+    raises ValueError, as does a sum beyond the float range.
     """
     _check_series(n, request.s, height)
     need = max(1, 2 * max(request.M))
     if quad_nodes < need:
         raise ValueError(f"quad_nodes must be >= {need} for M = {request.M}"
                          f", got {quad_nodes}: fewer fold a smaller mode")
-    w, phase = _unipotent_grid(n, quad_nodes, request.g.entries.astype(float),
-                               request.M)
+    x, a, _ = _iwasawa_diagonal(request.g)
+    w, phase = _unipotent_grid(n, quad_nodes, np.diag(a), request.M)
     # an overflowing power, or a row norm that underflows to 0, makes the
     # value inf or nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -767,7 +752,8 @@ def extract_fourier_coefficient(n: int, request: FWRequest, height: int,
             raise ValueError(
                 "node-doubling disagreement in coefficient extraction "
                 f"(achieved estimate {disagreement:.3e})")
-    return value
+    twist = sum(m * x[i, i + 1] for i, m in enumerate(request.M))
+    return value * cmath.exp(2j * math.pi * twist) if twist else value
 
 
 def _unipotent_grid(n: int, nodes: int, g: np.ndarray, M: tuple[int, ...]
@@ -778,11 +764,11 @@ def _unipotent_grid(n: int, nodes: int, g: np.ndarray, M: tuple[int, ...]
     (i < j) each take `nodes` values centred on 0: the truncated series is
     symmetric under u -> -u there, so the symmetric grid cancels odd
     truncation noise.  The values k / `nodes` and -k / `nodes` are exact
-    negatives, so for n = 2 and a diagonal g the matrices at u and -u are
-    exact mirrors, whose lattice-sum terms `_shell_sums` computes once
-    (`_mirror_layout`); an even count's u = -1/2 has no partner.  The
-    phases have one axis of length `nodes` per u_ij, in the order of the
-    grid matrices.
+    negatives, so for n = 2 and the diagonal g that extraction passes (the
+    torus rule of `FWRequest`), the matrices at u and -u are exact mirrors,
+    whose lattice-sum terms `_shell_sums` computes once (`_mirror_layout`);
+    an even count's u = -1/2 has no partner.  The phases have one axis of
+    length `nodes` per u_ij, in the order of the grid matrices.
     """
     u = (np.arange(nodes) - nodes // 2) / nodes
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -470,10 +470,11 @@ class TestGL2RecordedValues:
 class TestGL2SumBits:
     """The GL(2) shell sums S(H) and S(H // 2), bit for bit.
 
-    `_shell_sums` streams each 200-wide c-block of `_coprime_pairs` in row
-    chunks of `_ROW_ENTRIES` (row, table column) entries; a grid with
-    mirrors (`_mirror_layout`) in runs of whole c of the rows with d >= 0,
-    each grid matrix's terms of d < 0 read from its mirror's.  The pins were
+    `_shell_sums` streams each 200-wide c-block of `_coprime_pairs`: over
+    a grid in runs of whole c of the rows with d >= 0, each grid matrix's
+    terms of d < 0 read from its mirror's (`_mirror_layout`; the table
+    holds the mirror of each unpaired matrix), and at a single grid matrix
+    in row chunks of `_ROW_ENTRIES` = 2^16 rows.  The pins were
     recorded from whole-block tables, before the chunking, and the last one
     from chunked blocks read from one full coprimality mask, before the
     streaming: each is a SHA-256 prefix of the bytes of both sums and the
@@ -492,10 +493,11 @@ class TestGL2SumBits:
     G = [[1.3, 0.4], [0.2, 0.9]]
     # (nodes, H, s1, g): (digest, hex of S(H)[0], hex of S(H // 2)[0]).
     # after the (0, 1) block, 64 nodes at H = 500 take 183 runs in 3
-    # c-blocks and 7 nodes at H = 450 take 28 chunks; a single grid matrix (the
-    # eval path) takes one chunk per block at H = 100 and 200, and at
-    # H = 600 9 chunks in 3 c-blocks.  At 96 nodes a chunk holds 682 rows,
-    # and the 801 rows of c = 1 at H = 400 span two chunks
+    # c-blocks and 7 nodes at H = 450, without mirror pairs, 30 runs; a
+    # single grid matrix (the eval path) takes one chunk per block at
+    # H = 100 and 200, and at H = 600 9 chunks in 3 c-blocks.  At 96 nodes
+    # and g = G a run of 192 table columns holds 403 rows, the c = 1 run
+    # at H = 400 (401 rows and two spares), past 2^16 table entries
     PINS = {
         (64, 500, 2.0, None): ("9f649194b5889117", "0x1.2a2e2b5956d7dp+1",
                                "0x1.2a2e2b1793b03p+1"),
@@ -543,28 +545,31 @@ class TestGL2SumBits:
 
     @pytest.mark.parametrize("case", [*PINS, (2, 300, 1.5, "G")])
     def test_same_order_as_whole_blocks(self, case):
-        # one (rows, grid) table per c-block, each summed by numpy at once,
-        # which adds the rows one after another; a single grid matrix's
+        # a grid adds each c-block's rows one after another, which
+        # `_sequential_sums` checks in slices; a single grid matrix's
         # one-column table is summed pairwise, so its blocks are cut into
         # chunks of 2^16 rows, each carrying the block's running sum (and
         # its inner rows the inner one) in its first row
         nodes, height, s1, g = case
         w = self._grid(nodes, g)
         s = SpectralPoint((s1, -s1), _borel(2))
-        total = inner = 0.0
-        for v in _gcd_blocks(height):
-            terms, = _row_powers(w, s, v)
-            keep = np.abs(v).max(axis=1) <= height // 2
-            step = 1 << 16 if nodes == 1 else len(v)
-            acc = acc_inner = None
-            for lo in range(0, len(v), step):
-                chunk = terms[lo:lo + step]
-                chunk_inner = chunk[keep[lo:lo + step]]
-                acc = self._carried(acc, chunk)
-                acc_inner = self._carried(acc_inner, chunk_inner)
-            total = total + acc
-            inner = inner + acc_inner
         got_total, got_inner = _shell_sums(2, w, s, height)
+        if nodes > 1:
+            total, inner = _sequential_sums(w, s, height)
+        else:
+            total = inner = 0.0
+            step = 1 << 16
+            for v in _gcd_blocks(height):
+                terms, = _row_powers(w, s, v)
+                keep = np.abs(v).max(axis=1) <= height // 2
+                acc = acc_inner = None
+                for lo in range(0, len(v), step):
+                    chunk = terms[lo:lo + step]
+                    chunk_inner = chunk[keep[lo:lo + step]]
+                    acc = self._carried(acc, chunk)
+                    acc_inner = self._carried(acc_inner, chunk_inner)
+                total = total + acc
+                inner = inner + acc_inner
         assert np.array_equal(got_total, total)
         assert np.array_equal(got_inner, inner)
 
@@ -572,12 +577,18 @@ class TestGL2SumBits:
     # all but u = 0 pair up and u = 0 is its own mirror; even nodes, whose
     # u = -1/2 pairs with nothing; a diagonal g; complex s; a lower-left g
     # entry, so no mirrors; a shifted grid with two pairs and three unpaired;
-    # and a c = 1 run (1101 rows, 2 spares) longer than a table at 64 nodes
+    # a c = 1 run (1101 rows, 2 spares) past 2^16 table entries at 64
+    # nodes, which the tables grow to hold; and H = 1, 2 and 3, where at
+    # H = 1 the inner sum keeps no row of the (0, 1) block but its
+    # closing spare
     MIRRORED = [(9, 300, 1.5, None, 0), (16, 300, 1.5, None, 1),
                 (12, 250, 1.4, "diag", 1), (10, 300, 1.2 + 0.3j, None, 1),
                 (8, 300, 1.5, [[1.0, 0.3], [0.0, 1.0]], 8),
                 (8, 300, 1.5, [[1.0, -0.125], [0.0, 1.0]], 3),
-                (64, 1100, 1.5, None, 1)]
+                (64, 1100, 1.5, None, 1),
+                (5, 1, 1.5, None, 0), (4, 1, 1.5, None, 1),
+                (3, 2, 1.2 + 0.3j, None, 0), (6, 2, 1.5, "diag", 1),
+                (7, 3, 1.5, "diag", 0), (2, 3, 1.5, None, 1)]
 
     @pytest.mark.parametrize("case", MIRRORED)
     def test_mirrored_sums_match_sequential(self, case):
@@ -896,10 +907,11 @@ class TestExtractionGL3:
 
     def test_non_diagonal_g(self):
         # g = u a with x_12 = 0.3, x_23 = 0.45: both sides carry the phase
-        # e(x_12 + x_23) of M = (1, 1).  The truncation error at this y
-        # oscillates in H: 1.5e-1 at H = 8, 7.1e-2 at H = 10, then 2.8e-2,
-        # 1.2e-2 and 4.5e-3 at H = 12, 13 and 14.  The test runs at the top
-        # of that scan, not at the first H inside the tolerance
+        # e(x_12 + x_23) of M = (1, 1), and the extraction sums at a, so
+        # the truncation error is a's.  At this y it falls in H: 1.48e-1 at
+        # H = 8, 7.04e-2 at H = 10, then 2.74e-2, 1.23e-2 and 4.28e-3 at
+        # H = 12, 13 and 14.  The test runs at the top of that scan, not at
+        # the first H inside the tolerance
         p, forms = _borel(3), _trivial_forms(3)
         s = SpectralPoint((2.4, 0.1, -2.5), p)
         u = np.array([[1, 0.3, 0], [0, 1, 0.45], [0, 0, 1]])
@@ -936,6 +948,46 @@ class TestExtractionGL3:
         got = complex(doc["value"]["re"], doc["value"]["im"])
         _, want = self._want((2.4, 0.1, -2.5), m=2)
         assert abs(got - want) <= 0.3 * abs(want), (got, want)
+
+
+class TestTorusRule:
+    """FWRequest's torus rule: the coefficient at g = x a k is
+    e(sum_i M_i x_{i,i+1}) times the coefficient at a.  Extraction reads x
+    and a off g's Iwasawa form and sums on the grid u a only, so the rule
+    holds to rounding, where a quadrature on the grid u g misses it by its
+    own discretisation error (1.7e-7 relative at x_12 = 0.3, H = 300)."""
+
+    @staticmethod
+    def _extract(s_values, m, g, height, nodes):
+        n = len(s_values)
+        p = _borel(n)
+        req = FWRequest(p, _trivial_forms(n), m, SpectralPoint(s_values, p),
+                        GroupElement(g))
+        return extract_fourier_coefficient(n, req, height=height,
+                                           quad_nodes=nodes)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("x0, theta", [(0.3, 0.0), (0.15, 0.4)])
+    def test_gl2(self, m, x0, theta):
+        # theta != 0 rotates g = x a k, which gives g a lower-left entry
+        a = np.diag([1.2, 1 / 1.2])
+        k = np.array([[math.cos(theta), -math.sin(theta)],
+                      [math.sin(theta), math.cos(theta)]])
+        g = np.array([[1.0, x0], [0.0, 1.0]]) @ a @ k
+        got = self._extract((1.5, -1.5), (m,), g, 300, 64)
+        want = (cmath.exp(2j * math.pi * m * x0)
+                * self._extract((1.5, -1.5), (m,), a, 300, 64))
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+    def test_gl3(self):
+        # `test_non_diagonal_g`'s g, with the phase e(x_12 + x_23)
+        u = np.array([[1, 0.3, 0], [0, 1, 0.45], [0, 0, 1]])
+        a = np.diag([1.3, 1, 1 / 1.3])
+        s = (2.4, 0.1, -2.5)
+        got = self._extract(s, (1, 1), u @ a, 8, 6)
+        want = (cmath.exp(2j * math.pi * 0.75)
+                * self._extract(s, (1, 1), a, 8, 6))
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
 class TestFWFormula:
