@@ -182,6 +182,18 @@ def _primitive_box(height: int, gcd: np.ndarray
     return box[keep], np.maximum(index, index[::-1])
 
 
+def _raveled(x0, x1, x2, height: int):
+    """The raveled index of (x0, x1, x2) in the box [-height, height]^3."""
+    side = 2 * height + 1
+    return ((x0 + height) * side + x1 + height) * side + x2 + height
+
+
+def _shifted(rows: np.ndarray, index: np.ndarray, height: int) -> np.ndarray:
+    """The position of sigma(x) = (x_2, x_0, x_1), or of -sigma(x), for each
+    row x of a `_primitive_box` set, read from its index table."""
+    return index.take(_raveled(rows[:, 2], rows[:, 0], rows[:, 1], height))
+
+
 # the pairs depend on the heights only; a few (hv, ha) bound the memory held
 @functools.lru_cache(maxsize=4)
 def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
@@ -196,21 +208,31 @@ def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
     upto[h], the number of cosets of height <= h.  The arrays are read-only,
     since the cache shares them.
 
-    Let c = |v_k| be the largest entry of v and i < j the other indices.  In
-    the coordinates (i, j, k), v-perp in Z^3 has the Hermite basis
-    A1 = (g, t, *), A2 = (0, m, *) with g = gcd(v_j, c), m = c / g and
-    t = -v_i (v_j / g)^-1 mod m, the k entries fixed by a . v = 0.  Then
-    a = x A1 + y A2 is primitive exactly when gcd(x, y) = 1, and the
-    half-plane x > 0, or x = 0 < y, holds one a of each +- pair.  For each
-    (v, x) the slabs |a_j|, |a_k| <= height_a bound y to an interval, so no
-    candidate is rejected for its size and the work grows with the pairs
-    returned.  Along it the raveled box index of a is linear in y, and one
-    lookup in the `_primitive_box` table gives the position of a or -a, or
-    -1 where gcd(x, y) > 1.  Each term (a_c + height_a) stride_c of an
-    index is below (2 height_a + 1)^3, so int32 serves to heights of 600.
+    The cyclic shift sigma(x) = (x_2, x_0, x_1) is a permutation matrix in
+    SL(3, Z): it keeps a . v, primitivity and sup-norms, so it maps the pair
+    set onto itself and keeps each pair's height.  Up to sign it moves every
+    v but (1, 1, 1) in an orbit of three.  So only one v per orbit is
+    enumerated: those whose largest |entry| is at index 2 and not at index
+    0, (1, 1, 1), and (1, -1, -1) of the orbit of (1, +-1, +-1).  Their
+    pairs are put in height order by one radix sort, and each height shell
+    of the output holds them, then the images under sigma and sigma^2 of
+    those whose v is not (1, 1, 1), read from the `_shifted` tables.
+
+    With c = |v_k|, k = 2, the largest entry of v, v-perp in Z^3 has the
+    Hermite basis A1 = (g, t, *), A2 = (0, m, *) with g = gcd(v_1, c),
+    m = c / g and t = -v_0 (v_1 / g)^-1 mod m, the k entries fixed by
+    a . v = 0.  Then a = x A1 + y A2 is primitive exactly when
+    gcd(x, y) = 1, and the half-plane x > 0, or x = 0 < y, holds one a of
+    each +- pair.  For each (v, x) the slabs |a_1|, |a_2| <= height_a bound
+    y to an interval, so no candidate is rejected for its size and the work
+    grows with the pairs returned.  Along it the raveled box index of a is
+    linear in y, and one lookup in the `_primitive_box` table gives the
+    position of a or -a, or -1 where gcd(x, y) > 1.  Each term
+    (a_c + height_a) stride_c of an index is below (2 height_a + 1)^3, so
+    int32 serves to heights of 600.
     """
     ha = height_a
-    # gcd(r, m) for the inverses, gcd(|v_j|, c) and the primitive boxes
+    # gcd(r, m) for the inverses, gcd(|v_1|, c) and the primitive boxes
     gcd = np.gcd.outer(*[np.arange(max(height, ha) + 1, dtype=np.int32)] * 2)
     inv = np.zeros((height + 1, height + 1), np.int32)  # r^-1 mod m
     for m in range(2, height + 1):
@@ -218,56 +240,78 @@ def _coset_pairs_gl3(height: int, height_a: int) -> tuple[np.ndarray, ...]:
             if gcd[r, m] == 1:
                 inv[m, r] = pow(r, -1, m)
     a_all, a_index = _primitive_box(ha, gcd)
-    v_all = a_all if height == ha else _primitive_box(height, gcd)[0]
-    pivot = np.abs(v_all).argmax(axis=1)
+    v_all, v_index = ((a_all, a_index) if height == ha
+                      else _primitive_box(height, gcd))
+    av = np.abs(v_all)
+    fixed = v_index[_raveled(1, 1, 1, height)]
+    extra = v_index[_raveled(1, -1, -1, height)]
+    reps = np.flatnonzero((av[:, 2] > av[:, 0]) & (av[:, 2] >= av[:, 1]))
+    reps = np.concatenate((reps, [extra, fixed])).astype(np.int32)
     ivs, ias = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for k in range(3):
-        i, j = (c for c in range(3) if c != k)
-        si, sj, sk = ((2 * ha + 1) ** (2 - c) for c in (i, j, k))  # strides
-        on_k = np.flatnonzero(pivot == k).astype(np.int32)
-        for lo in range(0, len(on_k), _V_BLOCK):
-            sel = on_k[lo:lo + _V_BLOCK]
-            v = v_all[sel]
-            vi, vj, vk = v[:, i], v[:, j], v[:, k]
-            c = np.abs(vk)
-            g = gcd[np.abs(vj), c]
-            m = c // g
-            t = (-vi * inv[m, (vj // g) % m]) % m
-            a1k = -(vi * g + vj * t) // vk
-            a2k = -(vj // g) * np.sign(vk)
-            # slab |a_k| <= ha as |x e + y b| <= ha with b > 0; at v_j = 0
-            # (a2k = 0) it follows from |a_i| <= ha, as |a_k| = x |v_i| <= x c
-            b = np.where(a2k == 0, 1, np.abs(a2k))
-            e = np.where(a2k == 0, 0, np.sign(a2k) * a1k)
-            nx = ha // g + 1
-            row = np.repeat(np.arange(len(v), dtype=np.int32), nx)
-            x = _ramp(nx)
-            xt, xe = x * t[row], x * e[row]
-            mr, br = m[row], b[row]
-            # floats divide faster, and floor quotients of int32s exactly
-            y_lo = -np.floor(np.minimum((ha + xt) / mr, (ha + xe) / br))
-            y_hi = np.floor(np.minimum((ha - xt) / mr, (ha - xe) / br))
-            np.maximum(y_lo, 1, out=y_lo, where=x == 0)  # y > 0 at x = 0
-            ny = np.maximum(y_hi - y_lo + 1, 0).astype(np.int32)
-            live = ny > 0
-            r, x, y, ny = row[live], x[live], y_lo[live], ny[live]
-            # box index of a at y = y_lo, and its step per unit of y
-            start = ((x * g[r] + ha) * si + (xt[live] + y * m[r] + ha) * sj
-                     + (x * a1k[r] + y * a2k[r] + ha) * sk).astype(np.int32)
-            idx = (np.repeat(start, ny)
-                   + _ramp(ny) * np.repeat((m * sj + a2k * sk)[r], ny))
-            ia = a_index.take(idx)
-            keep = ia >= 0
-            ivs.append(np.repeat(sel[r], ny)[keep])
-            ias.append(ia[keep])
+    for lo in range(0, len(reps), _V_BLOCK):
+        sel = reps[lo:lo + _V_BLOCK]
+        v0, v1, v2 = v_all[sel].T
+        c = np.abs(v2)
+        g = gcd[np.abs(v1), c]
+        m = c // g
+        t = (-v0 * inv[m, (v1 // g) % m]) % m
+        a1k = -(v0 * g + v1 * t) // v2
+        a2k = -(v1 // g) * np.sign(v2)
+        # slab |a_2| <= ha as |x e + y b| <= ha with b > 0; at v_1 = 0
+        # (a2k = 0) it follows from |a_0| <= ha, as |a_2| = x |v_0| <= x c
+        b = np.where(a2k == 0, 1, np.abs(a2k))
+        e = np.where(a2k == 0, 0, np.sign(a2k) * a1k)
+        nx = ha // g + 1
+        row = np.repeat(np.arange(len(sel), dtype=np.int32), nx)
+        x = _ramp(nx)
+        xt, xe = x * t[row], x * e[row]
+        mr, br = m[row], b[row]
+        # floats divide faster, and floor quotients of int32s exactly
+        y_lo = -np.floor(np.minimum((ha + xt) / mr, (ha + xe) / br))
+        y_hi = np.floor(np.minimum((ha - xt) / mr, (ha - xe) / br))
+        np.maximum(y_lo, 1, out=y_lo, where=x == 0)  # y > 0 at x = 0
+        ny = np.maximum(y_hi - y_lo + 1, 0).astype(np.int32)
+        live = ny > 0
+        r, x, y, ny = row[live], x[live], y_lo[live], ny[live]
+        # box index of a at y = y_lo, and its step per unit of y
+        start = _raveled(x * g[r], xt[live] + y * m[r],
+                         x * a1k[r] + y * a2k[r], ha).astype(np.int32)
+        idx = (np.repeat(start, ny)
+               + _ramp(ny) * np.repeat((m * (2 * ha + 1) + a2k)[r], ny))
+        ia = a_index.take(idx)
+        keep = ia >= 0
+        ivs.append(np.repeat(sel[r], ny)[keep])
+        ias.append(ia[keep])
     iv, ia = np.concatenate(ivs), np.concatenate(ias)
-    # int16 keys take numpy's linear-time radix sort
+    del ivs, ias
+    # int16 keys 2 h, or 2 h + 1 at v = (1, 1, 1), take numpy's linear-time
+    # radix sort; the pairs of (1, 1, 1) close each height's run
     v_h, a_h = (functools.reduce(np.maximum, np.abs(rows).T).astype(np.int16)
                 for rows in (v_all, a_all))
-    heights = np.maximum(v_h.take(iv), a_h.take(ia))
-    order = np.argsort(heights, kind="stable")
-    upto = np.cumsum(np.bincount(heights, minlength=max(height, ha) + 1))
-    out = (v_all, a_all, iv[order], ia[order], upto)
+    key = np.maximum(v_h.take(iv), a_h.take(ia))
+    key *= 2
+    key += iv == fixed
+    order = np.argsort(key, kind="stable")
+    iv, ia = iv.take(order), ia.take(order)
+    counts = np.bincount(key, minlength=2 * max(height, ha) + 2).reshape(-1, 2)
+    del key, order
+    enumerated, free = counts.sum(axis=1), counts[:, 0]
+    upto = np.cumsum(enumerated + 2 * free)
+    shift_v, shift_a = (_shifted(v_all, v_index, height),
+                        _shifted(a_all, a_index, ha))
+    out_v, out_a = np.empty((2, upto[-1]), np.int32)
+    # each shell: its enumerated pairs, then the free ones under sigma and
+    # under sigma^2
+    src = dst = 0
+    for n, f in zip(enumerated.tolist(), free.tolist()):
+        out_v[dst:dst + n] = iv[src:src + n]
+        out_a[dst:dst + n] = ia[src:src + n]
+        lo, dst, src = dst, dst + n, src + n
+        for _ in range(2):
+            np.take(shift_v, out_v[lo:lo + f], out=out_v[dst:dst + f])
+            np.take(shift_a, out_a[lo:lo + f], out=out_a[dst:dst + f])
+            lo, dst = dst, dst + f
+    out = (v_all, a_all, out_v, out_a, upto)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -626,13 +670,18 @@ def _windowed_sums(w_mats: np.ndarray, s: SpectralPoint, height: int
 def _sum_range_error(w_mats: np.ndarray) -> ValueError:
     """The error for a lattice sum beyond the float range.
 
-    Over nonzero integer rows |v W| >= sigma_min(W) and
+    A sigma_max(W) beyond the float range makes the square of some
+    |e_i W| >= sigma_max(W) / sqrt(n) overflow, and the error names that
+    overflow.  Otherwise, over
+    nonzero integer rows |v W| >= sigma_min(W) and
     |a cof(W)| >= |det W| / sigma_max(W).  When one of these squares
     underflows to 0, a row norm may have log -inf, and the error names g's
     ill-conditioning rather than an overflow.
     """
     with np.errstate(over="ignore"):
         svals = np.linalg.svd(w_mats, compute_uv=False)
+        if not np.isfinite(svals[:, 0]).all():
+            return ValueError("a row norm overflows the float range")
         floor = float(min(svals[:, -1].min(),
                           (np.abs(np.linalg.det(w_mats)) / svals[:, 0]).min()))
     if floor * floor == 0.0:

@@ -162,11 +162,21 @@ def zeta_completed(s: complex) -> complex:
 
 # ----------------------------- K-Bessel -------------------------------------
 
-# 16-node Gauss-Legendre rule on [-1, 1], applied per panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # entries per (x, node) or (row, grid point) table chunk: keeps the
 # temporaries of a large batch in cache (the lattice sums use it too)
 _ROW_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-node Gauss-Legendre rule on [-1, 1], applied per panel, as
+    read-only arrays.  Built on first use, so that a process which never
+    evaluates K-Bessel does not import numpy.polynomial (about 1.5 MB of
+    resident memory)."""
+    rule = np.polynomial.legendre.leggauss(16)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def bessel_k(nu: complex, x: float) -> complex:
@@ -197,8 +207,9 @@ def _bessel_k_bucket(nu: complex, x: np.ndarray) -> np.ndarray:
         width = min(2.0 * width, 0.5)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    w = np.cosh(nu * t) * (half[:, None] * _GL_WEIGHTS).ravel()
+    nodes, weights = _gauss_legendre()
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = np.cosh(nu * t) * (half[:, None] * weights).ravel()
     w_parts = w.view(float).reshape(-1, 2)
     cosh_t = np.cosh(t)
     out = np.empty((x.size, 2))

@@ -482,6 +482,12 @@ class TestUsageErrors:
         # a row norm |(0, 0, 1) g| = 1e-200 whose square underflows to 0
         "eval-gl3-g-ill-conditioned": ([*GL3_EVAL, "--g", ILL_CONDITIONED],
                                        "ill-conditioned"),
+        # sigma_max(g) = 2.1e308 is beyond the float range, so its floor
+        # |det g| / sigma_max reads 0; the row norm |(1, 0) g| overflows
+        "eval-gl2-row-norm-overflows": (
+            ["eval", "--partition", "1,1", "--s", "1.5", "--height", "40",
+             "--g", "[[1.5e308,1.5e308],[0,1]]"],
+            "a row norm overflows the float range"),
         "eval-gl2-g-ill-conditioned": (
             ["eval", "--partition", "1,1", "--s", "2", "--height", "4", "--g",
              ILL_CONDITIONED_GL2], "ill-conditioned"),
@@ -536,6 +542,12 @@ class TestUsageErrors:
         assert_usage_error(code, err)
         assert needle in err
         assert out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_norm_overflow_is_no_underflow(self, capsys):
+        argv, _ = self.CASES["eval-gl2-row-norm-overflows"]
+        _, _, err = run(capsys, *argv)
+        assert "underflow" not in err
 
     # malformed form-spec and affine-map files, whose path replaces FILE
     PARAMS = ["params", "--partition", "2", "--forms", "FILE", "--s", "0"]

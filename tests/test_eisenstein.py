@@ -214,10 +214,19 @@ class TestCosets:
         assert not (vs * avs).sum(axis=1).any()
 
     # SHA-256 prefixes of the dtype and bytes of (V, A, iv, ia, upto),
-    # recorded before the candidates were read by box index; the arrays
-    # are integers, so the pins hold on any machine
-    PAIR_PINS = {(12, 12): "3b4b03f106b96daf", (8, 13): "9a9b4af48d63be87",
-                 (13, 8): "acc539bb7c9bf688", (20, 20): "cda55f4acd680f40"}
+    # recorded when the cosets of one sigma-orbit were first mapped to the
+    # rest: they pin the order of the pairs within a height shell, which
+    # sets the last bits of the GL(3) sums.  The arrays are integers, so
+    # the pins hold on any machine
+    PAIR_PINS = {(12, 12): "23ce51b1f12a093b", (8, 13): "1ab532326f173f23",
+                 (13, 8): "66da1f64f94d87a6", (20, 20): "847bba34730574ae"}
+
+    # SHA-256 prefixes of the int64 bytes of the (v, a) rows of the pairs
+    # in lexicographic order, then of upto: the coset set and the shell
+    # sizes, whatever the order within a shell.  Recorded with the
+    # three-pivot enumeration that the sigma-orbit one replaced
+    SET_PINS = {(12, 12): "4b55749fb8ff275d", (8, 13): "312f3fb9b6c3aef0",
+                (13, 8): "b4c39994be45c2f7", (20, 20): "1970ef4fed15dcf1"}
 
     @pytest.mark.parametrize("hv, ha", PAIR_PINS)
     def test_coset_pairs_recorded_bytes(self, hv, ha):
@@ -226,6 +235,28 @@ class TestCosets:
             digest.update(arr.dtype.str.encode())
             digest.update(arr.tobytes())
         assert digest.hexdigest()[:16] == self.PAIR_PINS[hv, ha]
+
+    @pytest.mark.parametrize("hv, ha", SET_PINS)
+    def test_coset_pairs_recorded_set(self, hv, ha):
+        v_rows, a_rows, iv, ia, upto = _coset_pairs_gl3(hv, ha)
+        keys = np.concatenate((v_rows[iv], a_rows[ia]),
+                              axis=1).astype(np.int64)
+        digest = hashlib.sha256(keys[np.lexsort(keys.T[::-1])].tobytes())
+        digest.update(upto.astype(np.int64).tobytes())
+        assert digest.hexdigest()[:16] == self.SET_PINS[hv, ha]
+
+    def test_coset_pairs_peak_memory(self):
+        # the three-pivot enumeration sorted every pair by an int64 argsort
+        # and permuted copies, a traced peak of 38.4 MB at (20, 20); one
+        # sigma-orbit sorted and mapped shell by shell peaks near 14 MB
+        _coset_pairs_gl3.cache_clear()
+        tracemalloc.start()
+        try:
+            _coset_pairs_gl3(20, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
 
     def test_coset_pairs_in_height_order(self):
         # distinct rows; pairs in order of height max(|v|, |a|), with

@@ -1,6 +1,8 @@
 """Special functions against the mpmath oracle and closed forms."""
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -189,3 +191,18 @@ class TestBesselK:
         for nu, x in [(1.2, 3.0), (0.3 + 1j, 0.8)]:
             assert bessel_k(nu, x) == pytest.approx(bessel_k(-nu, x),
                                                     rel=1e-12)
+
+    def test_rule_built_on_first_use(self):
+        # a fresh process that runs a GL(3) eval and no K-Bessel leaves
+        # numpy.polynomial, about 1.5 MB of resident memory, unimported
+        code = "\n".join([
+            "import sys",
+            "from eiskit.cli import dispatch",
+            "assert dispatch(['eval', '--partition', '1,1,1', '--s',"
+            " '2.4,0.1,-2.5', '--height', '4']) == 0",
+            "assert 'numpy.polynomial' not in sys.modules",
+            "from eiskit.specfun import bessel_k",
+            "bessel_k(0.5, 1.0)",
+            "assert 'numpy.polynomial' in sys.modules"])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       stdout=subprocess.DEVNULL, timeout=60)
